@@ -1,10 +1,12 @@
 // Wall-clock scaling of the parallel join engine: the uniform 100k x 100k
-// workload joined with PBSM and SSSJ strip joins at 1/2/4/8 worker
-// threads. Modeled I/O is identical at every thread count (asserted); the
-// interesting column is host wall-clock, which should drop as threads are
-// added on a multi-core machine. `--n=...` overrides the input size
-// (e.g. --n=20000 for a CI smoke run).
+// workload joined with PBSM, SSSJ strip joins and plain SSSJ (whose plane
+// sweep runs in x-bands, sweep/banded_sweep.h) at 1/2/4/8 worker threads.
+// Output, modeled I/O and the sweep footprint are identical at every
+// thread count (asserted); the interesting column is host wall-clock,
+// which should drop as threads are added on a multi-core machine.
+// `--n=...` overrides the input size (e.g. --n=20000 for a CI smoke run).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,7 +28,8 @@ struct ScalingRun {
   double wall_seconds = 0;
   double io_seconds = 0;
   uint64_t output_count = 0;
-  uint32_t units = 0;  // Partitions or strips: the parallel work units.
+  size_t max_sweep_bytes = 0;
+  uint32_t units = 0;  // Partitions, strips or sweep bands.
 };
 
 template <typename JoinFn>
@@ -61,7 +64,8 @@ ScalingRun RunOnce(const std::vector<RectF>& a, const std::vector<RectF>& b,
   SJ_CHECK(stats.ok()) << stats.status().ToString();
   run.io_seconds = stats->disk.io_seconds;
   run.output_count = stats->output_count;
-  run.units = stats->partitions_total;
+  run.max_sweep_bytes = stats->max_sweep_bytes;
+  run.units = std::max(stats->partitions_total, stats->sweep_bands);
   return run;
 }
 
@@ -77,17 +81,20 @@ void RunScaling(const char* label, const std::vector<RectF>& a,
   double base_wall = 0;
   uint64_t base_output = 0;
   double base_io = 0;
+  size_t base_sweep = 0;
   for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
     const ScalingRun run = RunOnce(a, b, threads, join);
     if (threads == 1) {
       base_wall = run.wall_seconds;
       base_output = run.output_count;
       base_io = run.io_seconds;
+      base_sweep = run.max_sweep_bytes;
     } else {
-      // The engine's contract: results and modeled I/O must not move with
-      // the thread count.
+      // The engine's contract: results, modeled I/O and the sweep
+      // footprint must not move with the thread count.
       SJ_CHECK(run.output_count == base_output) << "output changed";
       SJ_CHECK(run.io_seconds == base_io) << "modeled I/O changed";
+      SJ_CHECK(run.max_sweep_bytes == base_sweep) << "max_sweep_bytes changed";
     }
     std::printf("%8u %10u %12.3f %12.3f %10llu %7.2fx\n", threads, run.units,
                 run.wall_seconds, run.io_seconds,
@@ -118,10 +125,20 @@ void Run(uint64_t n) {
                return SSSJStripJoin(da, db, /*strips=*/32, disk, options,
                                     sink);
              });
+  RunScaling("SSSJ (banded sweep)", a, b,
+             [](const DatasetRef& da, const DatasetRef& db, DiskModel* disk,
+                const JoinOptions& options, JoinSink* sink) {
+               // The strip fallback must not kick in: give the sweep the
+               // memory the scaling runs' small budget would deny it.
+               JoinOptions sweep_options = options;
+               sweep_options.memory_bytes =
+                   std::max<size_t>(options.memory_bytes, 8u << 20);
+               return SSSJJoin(da, db, disk, sweep_options, sink);
+             });
   std::printf(
       "Speedup tracks the machine's core count; modeled I/O and output are "
       "thread-count-invariant\nby construction (per-unit DiskModel "
-      "shards).\n");
+      "shards; SSSJ's bands share one read of the sorted inputs).\n");
 }
 
 }  // namespace

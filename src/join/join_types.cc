@@ -17,6 +17,7 @@ std::string JoinStats::Describe() const {
   if (index_pages_read > 0) os << " (" << index_pages_read << " index)";
   if (max_sweep_bytes > 0) {
     os << "; sweep max " << (max_sweep_bytes + 1023) / 1024 << " KB";
+    if (sweep_bands > 1) os << " in " << sweep_bands << " bands";
   }
   if (sweep_strips_collapsed) {
     os << "; STRIPED SWEEP COLLAPSED (degenerate extent, single strip)";
@@ -99,6 +100,9 @@ std::vector<std::pair<std::string, std::string>> JoinStats::ToKeyValues()
   }
   if (sweep_strips_collapsed) {
     kv.emplace_back("sweep_strips_collapsed", "1");
+  }
+  if (sweep_bands > 0) {
+    kv.emplace_back("sweep_bands", std::to_string(sweep_bands));
   }
   if (sort_merge_fan_in > 0) {
     kv.emplace_back("sort_runs_parallel", std::to_string(sort_parallel_units));

@@ -6,6 +6,7 @@
 #include "io/prefetch.h"
 #include "join/strip_map.h"
 #include "sort/external_sort.h"
+#include "sweep/banded_sweep.h"
 #include "sweep/sweep_join.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -23,6 +24,36 @@ class StreamSource {
  private:
   PrefetchingStreamReader<RectF> reader_;
 };
+
+/// SSSJ's plane sweep over the two sorted sources: the banded
+/// Striped-Sweep on options.num_threads bands. Its epoch and pair buffers
+/// share the sweep grant with the interval structures (sized by
+/// `est_sweep_bytes`).
+template <typename SourceA, typename SourceB>
+BandedSweepStats SweepSorted(SourceA& a, SourceB& b, const RectF& extent,
+                             uint64_t events, size_t est_sweep_bytes,
+                             const JoinOptions& options,
+                             MemoryArbiter* arbiter, JoinSink* sink) {
+  BandedSweepConfig config;
+  config.kind = options.stream_sweep;
+  config.extent = extent;
+  config.strips = options.striped_strips;
+  config.threads = std::max(1u, options.num_threads);
+  config.pool = options.worker_pool;
+  config.events = events;
+  MemoryGrant grant = arbiter->AcquireShrinkable(
+      grants::kSweep,
+      est_sweep_bytes + BandedSweepBufferBytes(config.threads, events),
+      /*floor_bytes=*/0);
+  config.buffer_bytes =
+      grant.bytes() - std::min(grant.bytes(), est_sweep_bytes);
+  const BandedSweepStats stats =
+      BandedSweepJoin(config, a, b, [sink](ObjectId ida, ObjectId idb) {
+        sink->Emit(ida, idb);
+      });
+  grant.NoteUsage(stats.max_structure_bytes + stats.buffer_bytes);
+  return stats;
+}
 
 }  // namespace
 
@@ -75,10 +106,8 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
   SJ_ASSIGN_OR_RETURN(auto runs_a, MakePager(storage, disk, "sssj.runs.a"));
   SJ_ASSIGN_OR_RETURN(auto runs_b, MakePager(storage, disk, "sssj.runs.b"));
 
-  SweepRunStats sweep_stats;
-  auto emit = [sink](const RectF& ra, const RectF& rb) {
-    sink->Emit(ra.id, rb.id);
-  };
+  const uint64_t events = a.count() + b.count();
+  BandedSweepStats sweep_stats;
 
   if (options.fuse_merge_sweep) {
     // Ablation: merge the runs straight into the sweep. Saves one write
@@ -96,14 +125,18 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
                                                  prefetch, sort_config);
       SJ_RETURN_IF_ERROR(sorter_a.FormRuns(a.range, &ra));
       SJ_RETURN_IF_ERROR(sorter_b.FormRuns(b.range, &rb));
-      SJ_CHECK(ra.size() <= sorter_a.MaxFanIn() &&
-               rb.size() <= sorter_b.MaxFanIn())
-          << "fused SSSJ requires a single merge pass";
+      if (ra.size() > sorter_a.MaxFanIn() || rb.size() > sorter_b.MaxFanIn()) {
+        return Status::InvalidArgument(
+            "fused SSSJ needs a single merge pass, but a " +
+            std::to_string(options.memory_bytes) + "-byte budget formed " +
+            std::to_string(ra.size()) + " + " + std::to_string(rb.size()) +
+            " runs for a merge fan-in of " +
+            std::to_string(std::min(sorter_a.MaxFanIn(), sorter_b.MaxFanIn())) +
+            "; raise the budget or run SSSJ unfused");
+      }
       sort_stats.Fold(sorter_a.stats());
       sort_stats.Fold(sorter_b.stats());
     }
-    MemoryGrant sweep_grant = scope->AcquireShrinkable(
-        grants::kSweep, est_sweep_bytes, /*floor_bytes=*/0);
     MergingReader<RectF, OrderByYLo> source_a(std::move(ra),
                                               /*block_pages=*/8, OrderByYLo(),
                                               prefetch,
@@ -112,10 +145,8 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
                                               /*block_pages=*/8, OrderByYLo(),
                                               prefetch,
                                               sort_config.merge_structure);
-    sweep_stats =
-        SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips,
-                          source_a, source_b, emit);
-    sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
+    sweep_stats = SweepSorted(source_a, source_b, extent, events,
+                              est_sweep_bytes, options, scope.get(), sink);
   } else {
     SJ_ASSIGN_OR_RETURN(auto sorted_a,
                         MakePager(storage, disk, "sssj.sorted.a"));
@@ -131,19 +162,18 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
         SortRectsByYLo(b.range, runs_b.get(), sorted_b.get(),
                        options.memory_bytes / 2, scope.get(), prefetch,
                        sort_config, &sort_stats));
-    MemoryGrant sweep_grant = scope->AcquireShrinkable(
-        grants::kSweep, est_sweep_bytes, /*floor_bytes=*/0);
     StreamSource source_a(sa, prefetch), source_b(sb, prefetch);
-    sweep_stats =
-        SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips,
-                          source_a, source_b, emit);
-    sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
+    sweep_stats = SweepSorted(source_a, source_b, extent, events,
+                              est_sweep_bytes, options, scope.get(), sink);
   }
 
   JoinStats stats = measurement.Finish();
+  // The bands that ran on pool workers, as SSSJStripJoin folds its strips.
+  stats.host_cpu_seconds += sweep_stats.worker_cpu_seconds;
   stats.output_count = sweep_stats.output_count;
   stats.max_sweep_bytes = sweep_stats.max_structure_bytes;
   stats.sweep_strips_collapsed = sweep_stats.strips_collapsed;
+  stats.sweep_bands = sweep_stats.bands;
   stats.FoldSortStats(sort_stats);
   FillMemoryStats(*scope, &stats);
   return stats;

@@ -81,7 +81,7 @@ Result<FeatureStore::PendingBatch> FeatureStore::StartBatch(
     Span<const ObjectId> ids, const PrefetchContext& prefetch) const {
   PendingBatch batch;
   batch.ids_.assign(ids.begin(), ids.end());
-  if (ids.empty()) return std::move(batch);
+  if (ids.empty()) return batch;
   batch.pages_.reserve(ids.size());
   for (const ObjectId id : ids) {
     SJ_ASSIGN_OR_RETURN(PageId page, DataPageOf(id));
@@ -111,7 +111,7 @@ Result<FeatureStore::PendingBatch> FeatureStore::StartBatch(
         std::make_unique<BlockPrefetcher>(pager_, prefetch.pool);
     batch.prefetcher_->Start(batch.runs_);
   }
-  return std::move(batch);
+  return batch;
 }
 
 Result<uint64_t> FeatureStore::FinishBatch(PendingBatch batch,

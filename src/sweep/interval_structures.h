@@ -111,36 +111,23 @@ class ForwardSweep {
   size_t inserts_since_purge_ = 0;
 };
 
-/// Striped-Sweep interval structure (Arge et al. [4]).
+/// The striping arithmetic of a Striped-Sweep: the x-extent cut into
+/// `strips` equal-width strips.
 ///
-/// The x-extent is divided into equal-width strips; an active rectangle is
-/// stored in every strip its x-interval overlaps, and a query scans only
-/// the strips the query rectangle overlaps. Each overlapping pair is
-/// reported exactly once: in the strip containing the left endpoint of the
-/// x-overlap region. On the paper's data this is 2-5x faster than
-/// Forward-Sweep because queries touch a small fraction of the active set.
-/// Per-strip lists are struct-of-arrays and scanned with the same lane
-/// kernels as ForwardSweep; the ForwardSweep emit contract (by-value
-/// emission, no reentry) applies here too.
-///
-/// Striping arithmetic is hardened against degenerate extents: the strip
-/// width is computed in double precision (a float-sized extent such as
-/// [-3e38, 3e38] used to overflow (xhi-xlo) to +inf, silently landing
-/// every rectangle in strip 0 — Forward-Sweep behaviour at Striped-Sweep
-/// cost, with no signal), non-finite or zero-width extents collapse to a
-/// single strip with StripsCollapsed() raised (surfaced via
-/// SweepRunStats::strips_collapsed and JoinStats), and StripIndex clamps
-/// before the float-to-integer cast so out-of-range and NaN coordinates
-/// deterministically land in a boundary strip instead of invoking UB —
-/// the same clamp-before-cast hardening GridHistogram::EstimateCountIn
-/// received.
-class StripedSweep {
+/// Hardened against degenerate extents: the strip width is computed in
+/// double precision (a float-sized extent such as [-3e38, 3e38] used to
+/// overflow (xhi-xlo) to +inf, silently landing every rectangle in strip
+/// 0 — Forward-Sweep behaviour at Striped-Sweep cost, with no signal),
+/// non-finite or zero-width extents collapse to a single strip with
+/// collapsed() raised (surfaced via SweepRunStats::strips_collapsed and
+/// JoinStats), and Index clamps before the float-to-integer cast so
+/// out-of-range and NaN coordinates deterministically land in a boundary
+/// strip instead of invoking UB — the same clamp-before-cast hardening
+/// GridHistogram::EstimateCountIn received.
+class StripeGeometry {
  public:
-  /// `extent` must span all x-coordinates that will be inserted or
-  /// queried; values outside are clamped to the boundary strips.
-  StripedSweep(const RectF& extent, uint32_t strips)
-      : mode_(ActiveSweepKernelMode()),
-        xlo_(static_cast<double>(extent.xlo)),
+  StripeGeometry(const RectF& extent, uint32_t strips)
+      : xlo_(static_cast<double>(extent.xlo)),
         strips_(std::max<uint32_t>(1, strips)) {
     const double span =
         static_cast<double>(extent.xhi) - static_cast<double>(extent.xlo);
@@ -155,61 +142,9 @@ class StripedSweep {
     } else {
       width_ = span / static_cast<double>(strips_);
     }
-    lists_.resize(strips_);
   }
 
-  void Insert(const RectF& r) {
-    const uint32_t s0 = StripIndex(r.xlo);
-    const uint32_t s1 = std::max(s0, StripIndex(r.xhi));
-    for (uint32_t s = s0; s <= s1; ++s) lists_[s].PushBack(r);
-    entries_ += s1 - s0 + 1;
-    inserts_since_purge_++;
-    // Amortized cleanup: strips a sweep never queries again would
-    // otherwise retain expired rectangles forever.
-    if (inserts_since_purge_ > entries_ / 2 + 64) Purge(r.ylo);
-  }
-
-  template <typename Emit>
-  void QueryAndExpire(const RectF& q, Emit&& emit) {
-    const uint32_t s0 = StripIndex(q.xlo);
-    const uint32_t s1 = std::max(s0, StripIndex(q.xhi));
-    for (uint32_t s = s0; s <= s1; ++s) {
-      SoaRects& list = lists_[s];
-      const size_t n = list.size();
-      if (n == 0) continue;
-      mask_.resize(n);
-      kernels::ClassifySweepLanes(mode_, list.xlo.data(), list.xhi.data(),
-                                  list.yhi.data(), n, q.xlo, q.xhi, q.ylo,
-                                  mask_.data());
-      size_t keep = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const uint8_t m = mask_[i];
-        if ((m & kernels::kLaneKeep) == 0) continue;  // Expired.
-        if (keep != i) list.MoveLane(i, keep);
-        if ((m & kernels::kLaneMatch) != 0 &&
-            // Dedup: report only in the strip holding the overlap's left
-            // edge.
-            StripIndex(std::max(q.xlo, list.xlo[keep])) == s) {
-          emit(list.Lane(keep));
-        }
-        keep++;
-      }
-      entries_ -= n - keep;
-      list.Resize(keep);
-    }
-  }
-
-  size_t ActiveCount() const { return entries_; }
-  /// Logical footprint: stored copies across strips, in 20-byte-record
-  /// units (identical for scalar and vectorized kernels).
-  size_t MemoryBytes() const { return entries_ * sizeof(RectF); }
-  /// True when the requested striping could not be honored (degenerate or
-  /// non-finite extent) and the structure fell back to a single strip.
-  bool StripsCollapsed() const { return collapsed_; }
-  uint32_t strips() const { return strips_; }
-
- private:
-  uint32_t StripIndex(float x) const {
+  uint32_t Index(float x) const {
     const double rel = (static_cast<double>(x) - xlo_) / width_;
     // NaN coordinates and everything left of the extent land in strip 0;
     // clamp *before* the integer cast — a huge rel cast straight to
@@ -219,6 +154,86 @@ class StripedSweep {
     return static_cast<uint32_t>(rel);
   }
 
+  /// The strips [*s0, *s1] the x-interval of `r` overlaps (an inverted
+  /// or NaN interval collapses onto its left strip).
+  void Range(const RectF& r, uint32_t* s0, uint32_t* s1) const {
+    *s0 = Index(r.xlo);
+    *s1 = std::max(*s0, Index(r.xhi));
+  }
+
+  uint32_t strips() const { return strips_; }
+  /// True when the requested striping could not be honored.
+  bool collapsed() const { return collapsed_; }
+
+ private:
+  double xlo_;
+  uint32_t strips_;
+  double width_ = 1.0;
+  bool collapsed_ = false;
+};
+
+/// Striped-Sweep interval structure (Arge et al. [4]).
+///
+/// The x-extent is divided into equal-width strips (StripeGeometry); an
+/// active rectangle is stored in every strip its x-interval overlaps, and
+/// a query scans only the strips the query rectangle overlaps. Each
+/// overlapping pair is reported exactly once: in the strip containing the
+/// left endpoint of the x-overlap region. On the paper's data this is 2-5x
+/// faster than Forward-Sweep because queries touch a small fraction of the
+/// active set. Per-strip lists are struct-of-arrays and scanned with the
+/// same lane kernels as ForwardSweep; the ForwardSweep emit contract
+/// (by-value emission, no reentry) applies here too.
+///
+/// A structure may own only a *band* of the strips — every strip s with
+/// s % stride == offset — and is then driven strip by strip through
+/// InsertStrip, QueryStrip and Purge: the banded sweep
+/// (sweep/banded_sweep.h) runs several bands with purges at fixed sweep
+/// events, so every strip's list — and with it its emission order and
+/// the footprint — is the same for any banding. Insert and
+/// QueryAndExpire need a structure that owns every strip.
+class StripedSweep {
+ public:
+  /// `extent` must span all x-coordinates that will be inserted or
+  /// queried; values outside are clamped to the boundary strips.
+  StripedSweep(const RectF& extent, uint32_t strips)
+      : StripedSweep(StripeGeometry(extent, strips), 0, 1) {}
+
+  /// The band of `geometry`'s strips s with s % stride == offset
+  /// (offset < stride).
+  StripedSweep(const StripeGeometry& geometry, uint32_t offset,
+               uint32_t stride)
+      : mode_(ActiveSweepKernelMode()),
+        geometry_(geometry),
+        stride_(std::max<uint32_t>(1, stride)),
+        lists_((geometry.strips() - std::min(offset, geometry.strips()) +
+                stride_ - 1) /
+               stride_) {}
+
+  void Insert(const RectF& r) {
+    uint32_t s0, s1;
+    geometry_.Range(r, &s0, &s1);
+    for (uint32_t s = s0; s <= s1; ++s) InsertStrip(r, s);
+    inserts_since_purge_++;
+    // Amortized cleanup: strips a sweep never queries again would
+    // otherwise retain expired rectangles forever.
+    if (inserts_since_purge_ > entries_ / 2 + 64) Purge(r.ylo);
+  }
+
+  template <typename Emit>
+  void QueryAndExpire(const RectF& q, Emit&& emit) {
+    uint32_t s0, s1;
+    geometry_.Range(q, &s0, &s1);
+    for (uint32_t s = s0; s <= s1; ++s) QueryStrip(q, s, emit);
+  }
+
+  /// Inserts `r` into strip `s`, which the band must own (no amortized
+  /// purge: the caller schedules Purge).
+  void InsertStrip(const RectF& r, uint32_t s) {
+    lists_[s / stride_].PushBack(r);
+    entries_++;
+  }
+
+  /// Drops every entry with yhi < y (passed by a sweep line at y).
   void Purge(float y) {
     for (SoaRects& list : lists_) {
       const size_t n = list.size();
@@ -230,14 +245,51 @@ class StripedSweep {
     inserts_since_purge_ = 0;
   }
 
+  /// QueryAndExpire on strip `s` alone, which the band must own: reports
+  /// matches in list order, expiring rectangles with yhi < q.ylo.
+  template <typename Emit>
+  void QueryStrip(const RectF& q, uint32_t s, Emit&& emit) {
+    const uint32_t li = s / stride_;
+    SoaRects& list = lists_[li];
+    const size_t n = list.size();
+    if (n == 0) return;
+    mask_.resize(n);
+    kernels::ClassifySweepLanes(mode_, list.xlo.data(), list.xhi.data(),
+                                list.yhi.data(), n, q.xlo, q.xhi, q.ylo,
+                                mask_.data());
+    size_t keep = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint8_t m = mask_[i];
+      if ((m & kernels::kLaneKeep) == 0) continue;  // Expired.
+      if (keep != i) list.MoveLane(i, keep);
+      if ((m & kernels::kLaneMatch) != 0 &&
+          // Dedup: report only in the strip holding the overlap's left
+          // edge.
+          geometry_.Index(std::max(q.xlo, list.xlo[keep])) == s) {
+        emit(list.Lane(keep));
+      }
+      keep++;
+    }
+    entries_ -= n - keep;
+    list.Resize(keep);
+  }
+
+  size_t ActiveCount() const { return entries_; }
+  /// Logical footprint: stored copies across strips, in 20-byte-record
+  /// units (identical for scalar and vectorized kernels).
+  size_t MemoryBytes() const { return entries_ * sizeof(RectF); }
+  /// True when the requested striping could not be honored (degenerate or
+  /// non-finite extent) and the structure fell back to a single strip.
+  bool StripsCollapsed() const { return geometry_.collapsed(); }
+  uint32_t strips() const { return geometry_.strips(); }
+
+ private:
   SweepKernelMode mode_;
-  double xlo_;
-  uint32_t strips_;
-  double width_ = 1.0;
-  bool collapsed_ = false;
-  std::vector<SoaRects> lists_;
+  StripeGeometry geometry_;
+  uint32_t stride_;
+  std::vector<SoaRects> lists_;  // Strip s at index s / stride_.
   std::vector<uint8_t> mask_;
-  size_t entries_ = 0;  // Total stored copies across strips.
+  size_t entries_ = 0;  // Total stored copies across the band's strips.
   size_t inserts_since_purge_ = 0;
 };
 

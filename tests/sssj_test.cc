@@ -107,6 +107,39 @@ TEST(SSSJ, FusedVariantSavesAPassAndAgrees) {
   EXPECT_LT(stats_fused->disk.pages_written, stats_plain->disk.pages_written);
 }
 
+TEST(SSSJ, FusedRunsBeyondOneMergePassAreAnError) {
+  // The fused variant merges its runs straight into the sweep, so it
+  // needs them all in one merge pass; a budget that forms more runs than
+  // the fan-in is reported, not an abort. The unfused join handles it.
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  // 128 KiB still fits the sweep grant (no strip fallback), but each
+  // sorter's 64 KiB forms ~60 runs of `a` for a fan-in of 7.
+  const auto a = UniformRects(95000, RectF(0, 0, 500, 500), 0.5f, 11);
+  const auto b = UniformRects(5000, RectF(0, 0, 500, 500), 0.5f, 12);
+  const DatasetRef da = MakeDataset(&td, a, "a", &keep);
+  const DatasetRef db = MakeDataset(&td, b, "b", &keep);
+
+  JoinOptions options;
+  options.memory_bytes = 128u << 10;
+  options.fuse_merge_sweep = true;
+  CountingSink fused;
+  auto stats = SSSJJoin(da, db, &td.disk, options, &fused);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(stats.status().message().find("131072-byte budget"),
+            std::string::npos)
+      << stats.status().ToString();
+  EXPECT_NE(stats.status().message().find("runs"), std::string::npos);
+
+  options.fuse_merge_sweep = false;
+  CountingSink plain;
+  auto plain_stats = SSSJJoin(da, db, &td.disk, options, &plain);
+  ASSERT_TRUE(plain_stats.ok()) << plain_stats.status().ToString();
+  EXPECT_GT(plain_stats->sort_merge_passes, 1u);
+  EXPECT_EQ(plain.count(), BruteForcePairs(a, b).size());
+}
+
 TEST(SSSJ, SweepStructureStaysSmall) {
   // The square-root rule: the sweep structure is tiny relative to the
   // input (Table 3's "Sweep Structure" row).
