@@ -169,7 +169,7 @@ MemoryPlan PlanJoinMemory(JoinAlgorithm algo, const JoinOptions& options,
       break;
     case JoinAlgorithm::kPQ:
       // Traversal queues + leaf buffers on one grant, sweep structures
-      // on the other (half the budget apiece, exactly what
+      // and buffers on the other (half the budget apiece, exactly what
       // PQJoinSources acquires); a stream side additionally sorts
       // within half the budget before the queues exist.
       add(grants::kSortRuns, budget / 2);

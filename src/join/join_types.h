@@ -220,9 +220,9 @@ struct JoinStats {
   /// hardened construction) — the join ran correctly but the striping
   /// speedup was lost, which used to happen silently.
   bool sweep_strips_collapsed = false;
-  /// x-bands SSSJ's plane sweep ran in (sweep/banded_sweep.h): 1 for the
-  /// serial sweep, up to num_threads when the bands ran in parallel; 0
-  /// when no banded sweep ran.
+  /// x-bands SSSJ's or PQ's plane sweep ran in (sweep/banded_sweep.h): 1
+  /// for the serial sweep, up to num_threads when the bands ran in
+  /// parallel; 0 when no banded sweep ran.
   uint32_t sweep_bands = 0;
   /// External-sort behaviour (maxima over every sorter the join ran):
   /// run-formation units that sorted in parallel (0 = every sort stayed

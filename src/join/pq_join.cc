@@ -2,16 +2,38 @@
 
 #include <algorithm>
 
+#include "join/sorted_sweep.h"
 #include "sort/external_sort.h"
-#include "sweep/sweep_join.h"
 
 namespace sj {
 namespace {
 
-/// Adapter so the sweep templates can pull from a SortedRectSource*.
-struct SourceAdapter {
-  SortedRectSource* source;
-  std::optional<RectF> Next() { return source->Next(); }
+/// One PQ source as a sweep input. Every Next() after its first samples
+/// both sources' queue memory: the states the serial sweep sampled, once
+/// per rectangle it consumed. The sweep reads its inputs on the calling
+/// thread, so the samples are taken there too.
+class QueueSampledSource {
+ public:
+  QueueSampledSource(SortedRectSource* source, const SortedRectSource* other,
+                     size_t* max_queue_bytes)
+      : source_(source), other_(other), max_queue_bytes_(max_queue_bytes) {}
+
+  std::optional<RectF> Next() {
+    std::optional<RectF> r = source_->Next();
+    if (started_) {
+      *max_queue_bytes_ =
+          std::max(*max_queue_bytes_,
+                   source_->MemoryBytes() + other_->MemoryBytes());
+    }
+    started_ = true;
+    return r;
+  }
+
+ private:
+  SortedRectSource* source_;
+  const SortedRectSource* other_;
+  size_t* max_queue_bytes_;
+  bool started_ = false;
 };
 
 }  // namespace
@@ -22,37 +44,22 @@ Result<JoinStats> PQJoinSources(SortedRectSource* a, SortedRectSource* b,
                                 MemoryArbiter* arbiter) {
   const ArbiterScope scope(arbiter, options);
   // Static split: traversal queues and leaf buffers on one grant, sweep
-  // structures on the other. Sampled maxima are reported as usage — the
-  // paper's "data structures fit in memory" assumption, now checked by
-  // the arbiter (strict mode aborts; an external priority queue [2,9]
-  // would be the spill path for inputs that defeat it).
+  // structures and buffers on the other. Sampled maxima are reported as
+  // usage — the paper's "data structures fit in memory" assumption, now
+  // checked by the arbiter (strict mode aborts; an external priority
+  // queue [2,9] would be the spill path for inputs that defeat it).
   MemoryGrant queue_grant = scope->AcquireShrinkable(
       grants::kPqQueue, scope->budget() / 2, /*floor_bytes=*/0);
-  MemoryGrant sweep_grant = scope->AcquireShrinkable(
-      grants::kSweep, scope->budget() / 2, /*floor_bytes=*/0);
   JoinMeasurement measurement(disk);
-  SourceAdapter sa{a}, sb{b};
   size_t max_queue_bytes = 0;
-  auto emit = [sink](const RectF& ra, const RectF& rb) {
-    sink->Emit(ra.id, rb.id);
-  };
-  auto probe = [&]() {
-    max_queue_bytes =
-        std::max(max_queue_bytes, a->MemoryBytes() + b->MemoryBytes());
-  };
-  const SweepRunStats sweep_stats = SweepJoinWithKind(
-      options.stream_sweep, extent, options.striped_strips, sa, sb, emit,
-      probe);
+  QueueSampledSource sa(a, b, &max_queue_bytes), sb(b, a, &max_queue_bytes);
+  const bool counted = a->MaxCount() > 0 && b->MaxCount() > 0;
+  JoinStats stats = SweepSortedInputs(
+      sa, sb, extent, counted ? a->MaxCount() + b->MaxCount() : 0,
+      scope->budget() / 2, options, scope.get(), &measurement, sink);
   queue_grant.NoteUsage(max_queue_bytes);
-  sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
-
-  JoinStats stats = measurement.Finish();
-  stats.output_count = sweep_stats.output_count;
-  stats.max_sweep_bytes = sweep_stats.max_structure_bytes;
-  stats.sweep_strips_collapsed = sweep_stats.strips_collapsed;
   stats.max_queue_bytes = max_queue_bytes;
   queue_grant.Release();
-  sweep_grant.Release();
   FillMemoryStats(*scope, &stats);
   return stats;
 }

@@ -13,19 +13,23 @@ namespace sj {
 ///
 /// Both inputs arrive as y-sorted rectangle sources — a sorted stream for
 /// non-indexed inputs, an RTreePQSource for indexed ones — and are merged
-/// by the same plane sweep SSSJ uses (Striped-Sweep by default). Because
-/// the index adapter touches every R-tree node at most once, an unpruned
-/// PQ join issues exactly `node_count` page requests per index: the
-/// paper's "optimal" number (Table 4).
+/// by the same plane sweep SSSJ uses (SweepSortedInputs: the banded
+/// Striped-Sweep on options.num_threads bands, with the same pair
+/// sequence at any thread count). The calling thread reads the sources in
+/// the serial sweep's order, so index pages and modeled I/O do not depend
+/// on the thread count. Because the index adapter touches every R-tree
+/// node at most once, an unpruned PQ join issues exactly `node_count`
+/// page requests per index: the paper's "optimal" number (Table 4).
 ///
 /// `extent` is the sweep domain (union of both inputs' extents);
 /// `max_queue_bytes` in the returned stats is the sampled maximum of the
 /// adapters' priority queues plus leaf buffers (Table 3).
 ///
-/// Memory governance: the sweep structures and the source queues each
-/// hold a grant (half the budget apiece); their sampled maxima are
-/// reported as usage, so a strict arbiter aborts when an input defeats
-/// the paper's in-memory assumption instead of silently over-allocating.
+/// Memory governance: the sweep (structures plus epoch and ring buffers)
+/// and the source queues each hold a grant (half the budget apiece);
+/// their sampled maxima are reported as usage, so a strict arbiter aborts
+/// when an input defeats the paper's in-memory assumption instead of
+/// silently over-allocating.
 /// `arbiter` is the query's memory governor; nullptr runs against a
 /// private one over the options' budget.
 Result<JoinStats> PQJoinSources(SortedRectSource* a, SortedRectSource* b,

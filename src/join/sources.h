@@ -28,18 +28,25 @@ class SortedRectSource {
   /// Bytes of internal state right now (priority queues + leaf buffers for
   /// the index adapter); sampled by the join for Table 3.
   virtual size_t MemoryBytes() const { return 0; }
+
+  /// Rectangles this source yields at most (0 = unknown); bounds the
+  /// plane sweep's buffers.
+  virtual uint64_t MaxCount() const { return 0; }
 };
 
 /// A y-sorted stream (a non-indexed input after external sorting).
 class SortedStreamSource final : public SortedRectSource {
  public:
   explicit SortedStreamSource(const StreamRange& range)
-      : reader_(range.pager, range.first_page, range.count) {}
+      : reader_(range.pager, range.first_page, range.count),
+        count_(range.count) {}
 
   std::optional<RectF> Next() override { return reader_.Next(); }
+  uint64_t MaxCount() const override { return count_; }
 
  private:
   StreamReader<RectF> reader_;
+  uint64_t count_;
 };
 
 /// The PQ index adapter: drains a packed R-tree in ylo order using a
@@ -74,6 +81,8 @@ class RTreePQSource final : public SortedRectSource {
 
   std::optional<RectF> Next() override;
   size_t MemoryBytes() const override;
+  /// The tree's entry count (pruning yields fewer).
+  uint64_t MaxCount() const override { return tree_->meta().entry_count; }
 
   /// Index pages this traversal has read (<= tree->node_count(), with
   /// equality for unpruned traversals — the paper's "optimal" count).

@@ -4,58 +4,14 @@
 #include <memory>
 
 #include "io/prefetch.h"
+#include "join/sorted_sweep.h"
 #include "join/strip_map.h"
 #include "sort/external_sort.h"
-#include "sweep/banded_sweep.h"
 #include "sweep/sweep_join.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace sj {
-namespace {
-
-/// Adapter: a (prefetching) stream reader as a sweep source.
-class StreamSource {
- public:
-  StreamSource(const StreamRange& range, const PrefetchContext& prefetch)
-      : reader_(range.pager, range.first_page, range.count, prefetch) {}
-  std::optional<RectF> Next() { return reader_.Next(); }
-
- private:
-  PrefetchingStreamReader<RectF> reader_;
-};
-
-/// SSSJ's plane sweep over the two sorted sources: the banded
-/// Striped-Sweep on options.num_threads bands. Its epoch and pair buffers
-/// share the sweep grant with the interval structures (sized by
-/// `est_sweep_bytes`).
-template <typename SourceA, typename SourceB>
-BandedSweepStats SweepSorted(SourceA& a, SourceB& b, const RectF& extent,
-                             uint64_t events, size_t est_sweep_bytes,
-                             const JoinOptions& options,
-                             MemoryArbiter* arbiter, JoinSink* sink) {
-  BandedSweepConfig config;
-  config.kind = options.stream_sweep;
-  config.extent = extent;
-  config.strips = options.striped_strips;
-  config.threads = std::max(1u, options.num_threads);
-  config.pool = options.worker_pool;
-  config.events = events;
-  MemoryGrant grant = arbiter->AcquireShrinkable(
-      grants::kSweep,
-      est_sweep_bytes + BandedSweepBufferBytes(config.threads, events),
-      /*floor_bytes=*/0);
-  config.buffer_bytes =
-      grant.bytes() - std::min(grant.bytes(), est_sweep_bytes);
-  const BandedSweepStats stats =
-      BandedSweepJoin(config, a, b, [sink](ObjectId ida, ObjectId idb) {
-        sink->Emit(ida, idb);
-      });
-  grant.NoteUsage(stats.max_structure_bytes + stats.buffer_bytes);
-  return stats;
-}
-
-}  // namespace
 
 size_t EstimateSweepBytes(uint64_t records) {
   return static_cast<size_t>(
@@ -106,8 +62,13 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
   SJ_ASSIGN_OR_RETURN(auto runs_a, MakePager(storage, disk, "sssj.runs.a"));
   SJ_ASSIGN_OR_RETURN(auto runs_b, MakePager(storage, disk, "sssj.runs.b"));
 
+  // The sweep's grant: the structures' estimate plus the banded sweep's
+  // preferred epoch and ring buffers.
   const uint64_t events = a.count() + b.count();
-  BandedSweepStats sweep_stats;
+  const size_t sweep_grant_bytes =
+      est_sweep_bytes +
+      BandedSweepBufferBytes(std::max(1u, options.num_threads), events);
+  JoinStats stats;
 
   if (options.fuse_merge_sweep) {
     // Ablation: merge the runs straight into the sweep. Saves one write
@@ -145,8 +106,9 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
                                               /*block_pages=*/8, OrderByYLo(),
                                               prefetch,
                                               sort_config.merge_structure);
-    sweep_stats = SweepSorted(source_a, source_b, extent, events,
-                              est_sweep_bytes, options, scope.get(), sink);
+    stats = SweepSortedInputs(source_a, source_b, extent, events,
+                              sweep_grant_bytes, options, scope.get(),
+                              &measurement, sink);
   } else {
     SJ_ASSIGN_OR_RETURN(auto sorted_a,
                         MakePager(storage, disk, "sssj.sorted.a"));
@@ -162,18 +124,15 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
         SortRectsByYLo(b.range, runs_b.get(), sorted_b.get(),
                        options.memory_bytes / 2, scope.get(), prefetch,
                        sort_config, &sort_stats));
-    StreamSource source_a(sa, prefetch), source_b(sb, prefetch);
-    sweep_stats = SweepSorted(source_a, source_b, extent, events,
-                              est_sweep_bytes, options, scope.get(), sink);
+    PrefetchingStreamReader<RectF> source_a(sa.pager, sa.first_page,
+                                            sa.count, prefetch);
+    PrefetchingStreamReader<RectF> source_b(sb.pager, sb.first_page,
+                                            sb.count, prefetch);
+    stats = SweepSortedInputs(source_a, source_b, extent, events,
+                              sweep_grant_bytes, options, scope.get(),
+                              &measurement, sink);
   }
 
-  JoinStats stats = measurement.Finish();
-  // The bands that ran on pool workers, as SSSJStripJoin folds its strips.
-  stats.host_cpu_seconds += sweep_stats.worker_cpu_seconds;
-  stats.output_count = sweep_stats.output_count;
-  stats.max_sweep_bytes = sweep_stats.max_structure_bytes;
-  stats.sweep_strips_collapsed = sweep_stats.strips_collapsed;
-  stats.sweep_bands = sweep_stats.bands;
   stats.FoldSortStats(sort_stats);
   FillMemoryStats(*scope, &stats);
   return stats;

@@ -167,8 +167,7 @@ INSTANTIATE_TEST_SUITE_P(
 // configuration must produce the identical sorted result set. A failure
 // prints the workload seed; replaying is deterministic:
 //
-//   SJ_DIFF_SEED=<seed> ./join_equivalence_test \
-//       --gtest_filter='RandomizedDifferential.*'
+//   SJ_DIFF_SEED=<seed> ./join_equivalence_test --gtest_filter='RandomizedDifferential.*'
 //
 // The nightly CI job scales the harness up with fresh seeds:
 // SJ_DIFF_WORKLOADS=<n> multiplies the workload count, and SJ_DIFF_SEED

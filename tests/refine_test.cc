@@ -109,7 +109,8 @@ TEST(FeatureStore, FetchBatchReadsEachPageOnce) {
   }
   // An out-of-range id anywhere in the batch fails the whole fetch.
   std::vector<Segment> unused;
-  EXPECT_FALSE(store->FetchBatch({ObjectId{5}, ObjectId{2000}}, &unused).ok());
+  const std::vector<ObjectId> bad_ids = {5, 2000};
+  EXPECT_FALSE(store->FetchBatch(bad_ids, &unused).ok());
 }
 
 TEST(FeatureStore, FetchBatchChargesExternalShard) {
@@ -124,8 +125,8 @@ TEST(FeatureStore, FetchBatchChargesExternalShard) {
   const uint32_t dev = shard.RegisterDevice("refine.test");
   const DiskStats own_before = td.disk.stats();
   std::vector<Segment> out;
-  auto pages = store->FetchBatch({ObjectId{0}, ObjectId{999}}, &out, &shard,
-                                 dev);
+  const std::vector<ObjectId> ids = {0, 999};
+  auto pages = store->FetchBatch(ids, &out, &shard, dev);
   ASSERT_TRUE(pages.ok());
   EXPECT_EQ(*pages, 2u);
   // All modeled I/O lands on the shard; the store's own disk is untouched.

@@ -288,7 +288,9 @@ TEST(ParallelSortDifferential, SharedPoolMatchesPrivateTeam) {
                                            nullptr, PrefetchContext(), config);
   auto sorted = sorter.Sort(in, output.get());
   ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
-  if (!SortSerialOnly()) EXPECT_GT(sorter.stats().parallel_units, 1u);
+  if (!SortSerialOnly()) {
+    EXPECT_GT(sorter.stats().parallel_units, 1u);
+  }
   const std::vector<uint8_t> pages = ReadPages(*sorted);
   ASSERT_EQ(pages.size(), ref.pages.size());
   EXPECT_EQ(std::memcmp(pages.data(), ref.pages.data(), pages.size()), 0);
@@ -396,7 +398,9 @@ TEST(MergeSelector, TreeAndHeapProduceIdenticalSequences) {
   ASSERT_EQ(tree.size(), size_t{k} * 200);
   for (size_t i = 0; i < tree.size(); ++i) {
     EXPECT_EQ(tree[i], heap[i]) << "at " << i;
-    if (i > 0) EXPECT_GE(tree[i].first, tree[i - 1].first);
+    if (i > 0) {
+      EXPECT_GE(tree[i].first, tree[i - 1].first);
+    }
   }
 }
 

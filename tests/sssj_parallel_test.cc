@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <future>
 #include <limits>
 #include <memory>
 
@@ -20,65 +19,21 @@
 #include "sweep/sweep_join.h"
 #include "test_util.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace sj {
 namespace {
 
 using testing_util::BruteForcePairs;
+using testing_util::ExpectSameDisk;
 using testing_util::MakeDataset;
+using testing_util::SaturatedPool;
 using testing_util::Sorted;
+using testing_util::SweepGrant;
 using testing_util::TestDisk;
 
 struct Outcome {
   std::vector<IdPair> pairs;  // In emission order.
   JoinStats stats;
-};
-
-// Every deterministic DiskStats field; io_wall_seconds is measured time.
-void ExpectSameDisk(const DiskStats& got, const DiskStats& want,
-                    const std::string& what) {
-  EXPECT_EQ(got.read_requests, want.read_requests) << what;
-  EXPECT_EQ(got.sequential_read_requests, want.sequential_read_requests)
-      << what;
-  EXPECT_EQ(got.random_read_requests, want.random_read_requests) << what;
-  EXPECT_EQ(got.write_requests, want.write_requests) << what;
-  EXPECT_EQ(got.sequential_write_requests, want.sequential_write_requests)
-      << what;
-  EXPECT_EQ(got.random_write_requests, want.random_write_requests) << what;
-  EXPECT_EQ(got.pages_read, want.pages_read) << what;
-  EXPECT_EQ(got.pages_written, want.pages_written) << what;
-  EXPECT_EQ(got.io_seconds, want.io_seconds) << what;
-}
-
-// The sweep grant's used and granted high-water marks.
-std::pair<size_t, size_t> SweepGrant(const JoinStats& stats) {
-  for (const MemoryComponentStats& c : stats.memory_components) {
-    if (c.component == grants::kSweep) {
-      return {c.used_high_water, c.granted_high_water};
-    }
-  }
-  return {0, 0};
-}
-
-/// A shared pool whose only worker is held by a blocking task for the
-/// pool's lifetime, so no band task ever gets a worker.
-class SaturatedPool {
- public:
-  SaturatedPool() : pool_(1) {
-    std::shared_future<void> gate = release_.get_future().share();
-    blocker_ = pool_.Submit([gate] { gate.wait(); });
-  }
-  ~SaturatedPool() {
-    release_.set_value();
-    blocker_.wait();
-  }
-  ThreadPool* get() { return &pool_; }
-
- private:
-  ThreadPool pool_;
-  std::promise<void> release_;
-  std::future<void> blocker_;
 };
 
 /// Runs SSSJ with a strict arbiter unless `strict` is false (inputs that

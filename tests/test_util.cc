@@ -1,5 +1,8 @@
 #include "test_util.h"
 
+#include <gtest/gtest.h>
+
+#include "core/memory_arbiter.h"
 #include "geometry/extent.h"
 
 namespace sj {
@@ -18,6 +21,30 @@ DatasetRef MakeDataset(TestDisk* td, const std::vector<RectF>& rects,
   ref.extent = ComputeExtent(rects);
   keepalive->push_back(std::move(pager));
   return ref;
+}
+
+void ExpectSameDisk(const DiskStats& got, const DiskStats& want,
+                    const std::string& what) {
+  EXPECT_EQ(got.read_requests, want.read_requests) << what;
+  EXPECT_EQ(got.sequential_read_requests, want.sequential_read_requests)
+      << what;
+  EXPECT_EQ(got.random_read_requests, want.random_read_requests) << what;
+  EXPECT_EQ(got.write_requests, want.write_requests) << what;
+  EXPECT_EQ(got.sequential_write_requests, want.sequential_write_requests)
+      << what;
+  EXPECT_EQ(got.random_write_requests, want.random_write_requests) << what;
+  EXPECT_EQ(got.pages_read, want.pages_read) << what;
+  EXPECT_EQ(got.pages_written, want.pages_written) << what;
+  EXPECT_EQ(got.io_seconds, want.io_seconds) << what;
+}
+
+std::pair<size_t, size_t> SweepGrant(const JoinStats& stats) {
+  for (const MemoryComponentStats& c : stats.memory_components) {
+    if (c.component == grants::kSweep) {
+      return {c.used_high_water, c.granted_high_water};
+    }
+  }
+  return {0, 0};
 }
 
 std::vector<IdPair> BruteForcePairs(const std::vector<RectF>& a,

@@ -2,7 +2,10 @@
 #define USJ_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <future>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "geometry/rect.h"
@@ -12,6 +15,7 @@
 #include "io/stream.h"
 #include "join/join_types.h"
 #include "sort/external_sort.h"
+#include "util/thread_pool.h"
 
 namespace sj {
 namespace testing_util {
@@ -44,6 +48,35 @@ std::vector<IdPair> BruteForceExactPairs(const std::vector<RectF>& a,
                                          const std::vector<RectF>& b,
                                          const std::vector<Segment>& ga,
                                          const std::vector<Segment>& gb);
+
+/// Expects every deterministic DiskStats field of `got` to equal `want`'s
+/// (io_wall_seconds is measured time and not compared).
+void ExpectSameDisk(const DiskStats& got, const DiskStats& want,
+                    const std::string& what);
+
+/// The sweep grant's used and granted high-water marks in `stats`
+/// ({0, 0} when the join held none).
+std::pair<size_t, size_t> SweepGrant(const JoinStats& stats);
+
+/// A shared pool whose only worker is held by a blocking task for the
+/// pool's lifetime, so no task submitted to it ever gets a worker.
+class SaturatedPool {
+ public:
+  SaturatedPool() : pool_(1) {
+    std::shared_future<void> gate = release_.get_future().share();
+    blocker_ = pool_.Submit([gate] { gate.wait(); });
+  }
+  ~SaturatedPool() {
+    release_.set_value();
+    blocker_.wait();
+  }
+  ThreadPool* get() { return &pool_; }
+
+ private:
+  ThreadPool pool_;
+  std::promise<void> release_;
+  std::future<void> blocker_;
+};
 
 /// Sorts a pair list (for order-insensitive comparison).
 inline std::vector<IdPair> Sorted(std::vector<IdPair> pairs) {
