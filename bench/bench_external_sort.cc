@@ -1,12 +1,11 @@
-// External-sort optimization ladder: serial baseline, +parallel run
-// formation (8 threads), +loser-tree merge, +write-behind run output,
-// over TIGER-shaped relations at increasing sizes. Every rung must
-// produce byte-identical output pages and identical modeled io_seconds
-// to the serial baseline — asserted, not assumed — so the only thing the
-// ladder moves is host wall time (records/s) and io_wall_seconds. One
-// JSON summary line per (dataset, rung) for the tracking dashboards.
-// `--n=...` overrides the largest size (CI smoke); `--threads=...` the
-// parallel rung width.
+// External-sort thread ladder: the one sort pipeline at 1, 2 and N run
+// formation threads over TIGER-shaped relations at increasing sizes.
+// Every rung must produce byte-identical output pages and identical
+// modeled io_seconds to the 1-thread rung — asserted, not assumed — so
+// the only thing the ladder moves is host wall time (records/s) and
+// io_wall_seconds. One JSON summary line per (dataset, rung) for the
+// tracking dashboards. `--n=...` overrides the largest size (CI smoke);
+// `--threads=...` sets N (default 8).
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,26 +18,11 @@
 #include "io/pager.h"
 #include "io/stream.h"
 #include "sort/external_sort.h"
-#include "sort/sort_config.h"
 #include "util/timer.h"
 
 namespace sj {
 namespace bench {
 namespace {
-
-struct Rung {
-  const char* name;
-  bool parallel = false;
-  bool loser_tree = false;
-  bool write_behind = false;
-};
-
-constexpr Rung kLadder[] = {
-    {"serial", false, false, false},
-    {"+parallel-runs", true, false, false},
-    {"+loser-tree", true, true, false},
-    {"+write-behind", true, true, true},
-};
 
 struct SortRun {
   double wall_seconds = 0;
@@ -50,7 +34,7 @@ struct SortRun {
 };
 
 SortRun RunOnce(const std::vector<RectF>& rects, size_t memory_bytes,
-                uint32_t threads, const Rung& rung) {
+                uint32_t threads) {
   DiskModel disk(MachineModel::Machine3());
   auto input = MakeMemoryPager(&disk, "sort.in");
   auto scratch = MakeMemoryPager(&disk, "sort.scratch");
@@ -61,11 +45,7 @@ SortRun RunOnce(const std::vector<RectF>& rects, size_t memory_bytes,
   disk.ResetStats();
 
   SortConfig config;
-  config.parallel_runs = rung.parallel;
-  config.threads = rung.parallel ? threads : 1;
-  config.write_behind = rung.write_behind;
-  config.merge_structure = rung.loser_tree ? MergeStructure::kLoserTree
-                                           : MergeStructure::kBinaryHeap;
+  config.threads = threads;
   ExternalSorter<RectF, OrderByYLo> sorter(memory_bytes, scratch.get(),
                                            OrderByYLo(), nullptr,
                                            PrefetchContext(), config);
@@ -95,8 +75,8 @@ SortRun RunOnce(const std::vector<RectF>& rects, size_t memory_bytes,
 }
 
 void RunLadder(const std::string& dataset, const std::vector<RectF>& rects,
-               uint32_t threads) {
-  // ~16 formation units at any size, so the parallel rung has real work
+               uint32_t max_threads) {
+  // ~16 formation units at any size, so the threaded rungs have real work
   // and the merge is multi-way.
   const size_t memory =
       std::max<size_t>(RunLayout::kMinSortMemoryBytes,
@@ -104,35 +84,37 @@ void RunLadder(const std::string& dataset, const std::vector<RectF>& rects,
   std::printf("-- %s: %llu records, %.1f MB budget --\n", dataset.c_str(),
               static_cast<unsigned long long>(rects.size()),
               static_cast<double>(memory) / (1 << 20));
-  std::printf("%16s %12s %12s %12s %12s %9s\n", "config", "wall(s)",
+  std::printf("%16s %12s %12s %12s %12s %9s\n", "threads", "wall(s)",
               "Mrec/s", "modeledIO(s)", "ioWall(s)", "speedup");
   PrintHeaderRule(78);
   SortRun base;
-  for (const Rung& rung : kLadder) {
-    const SortRun run = RunOnce(rects, memory, threads, rung);
-    if (std::strcmp(rung.name, "serial") == 0) {
+  std::vector<uint32_t> ladder = {1, 2};
+  if (max_threads > 2) ladder.push_back(max_threads);
+  for (const uint32_t threads : ladder) {
+    const SortRun run = RunOnce(rects, memory, threads);
+    if (threads == 1) {
       base = run;
     } else {
-      // The ladder's contract: a perf layer may never change the output
-      // bytes or the modeled I/O.
+      // The ladder's contract: the thread count may never change the
+      // output bytes or the modeled I/O.
       SJ_CHECK(run.checksum == base.checksum)
-          << rung.name << " changed the output";
+          << threads << " threads changed the output";
       SJ_CHECK(run.io_seconds == base.io_seconds)
-          << rung.name << " changed modeled io_seconds: " << run.io_seconds
-          << " vs " << base.io_seconds;
+          << threads << " threads changed modeled io_seconds: "
+          << run.io_seconds << " vs " << base.io_seconds;
     }
     const double mrecs = static_cast<double>(rects.size()) /
                          run.wall_seconds / 1e6;
-    std::printf("%16s %12.3f %12.2f %12.3f %12.3f %8.2fx\n", rung.name,
+    std::printf("%16u %12.3f %12.2f %12.3f %12.3f %8.2fx\n", threads,
                 run.wall_seconds, mrecs, run.io_seconds, run.io_wall_seconds,
                 base.wall_seconds / run.wall_seconds);
     std::printf(
         "{\"bench\":\"external_sort\",\"dataset\":\"%s\",\"records\":%llu,"
-        "\"config\":\"%s\",\"threads\":%u,\"wall_s\":%.6f,"
+        "\"threads\":%u,\"wall_s\":%.6f,"
         "\"records_per_s\":%.0f,\"modeled_io_s\":%.6f,\"io_wall_s\":%.6f,"
         "\"runs\":%u,\"fan_in\":%u,\"speedup\":%.3f}\n",
         dataset.c_str(), static_cast<unsigned long long>(rects.size()),
-        rung.name, rung.parallel ? threads : 1, run.wall_seconds,
+        threads, run.wall_seconds,
         static_cast<double>(rects.size()) / run.wall_seconds, run.io_seconds,
         run.io_wall_seconds, run.runs, run.fan_in,
         base.wall_seconds / run.wall_seconds);
@@ -140,23 +122,23 @@ void RunLadder(const std::string& dataset, const std::vector<RectF>& rects,
   std::printf("\n");
 }
 
-void Run(uint64_t max_n, uint32_t threads) {
-  std::printf("== External sort ladder (TIGER-shaped, %u threads) ==\n\n",
-              threads);
+void Run(uint64_t max_n, uint32_t max_threads) {
+  std::printf("== External sort thread ladder (TIGER-shaped, 1/2/%u) ==\n\n",
+              max_threads);
   const RectF region(0, 0, 1000, 1000);
   // TIGER-like size ladder up to max_n (road-segment shaped rects:
   // small, skinny, near-uniform centers).
   for (const uint64_t n : {max_n / 8, max_n / 2, max_n}) {
     if (n == 0) continue;
     const std::vector<RectF> rects = UniformRects(n, region, 0.15f, 1971);
-    RunLadder("uniform-" + std::to_string(n / 1000) + "k", rects, threads);
+    RunLadder("uniform-" + std::to_string(n / 1000) + "k", rects,
+              max_threads);
   }
   std::printf(
       "Ladder contract: output pages and modeled io_seconds are "
       "byte-identical on every rung;\nonly wall time and io_wall move. "
-      "The +parallel-runs rung's speedup tracks the\nmachine's core count "
-      "(run formation is compare-bound); +loser-tree is algorithmic\nand "
-      "helps on any machine.\n");
+      "Speedup tracks the machine's core count: run\nformation is "
+      "compare-bound and parallel, the merge is serial.\n");
 }
 
 }  // namespace

@@ -102,14 +102,6 @@ class JoinQuery {
   /// Never changes results, candidate counts, or modeled io_seconds —
   /// only measured wall time (JoinStats::disk.io_wall_seconds).
   JoinQuery& Prefetch(bool on) { return Mutate([&](JoinOptions& o) { o.prefetch = on; }); }
-  /// Parallel run formation in the external sorts (engages with
-  /// Threads(n>1)); output bytes and modeled io_seconds are identical at
-  /// any thread count.
-  JoinQuery& SortParallelRuns(bool on) { return Mutate([&](JoinOptions& o) { o.sort_parallel_runs = on; }); }
-  /// External-merge fan-in (0 = auto; see JoinOptions::merge_fan_in).
-  JoinQuery& MergeFanIn(uint32_t fan_in) { return Mutate([&](JoinOptions& o) { o.merge_fan_in = fan_in; }); }
-  /// Write-behind run output: like Prefetch, moves io_wall_seconds only.
-  JoinQuery& SortWriteBehind(bool on) { return Mutate([&](JoinOptions& o) { o.sort_write_behind = on; }); }
 
   JoinOptions& mutable_options() { return options_; }
   const JoinOptions& options() const { return options_; }

@@ -6,7 +6,6 @@
 
 #include "core/join_query.h"
 #include "join/partition_plan.h"
-#include "sort/sort_config.h"
 
 namespace sj {
 
@@ -70,10 +69,7 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
   // Sort CPU is the one term that scales down with worker threads (run
   // formation parallelizes), so with threads the streaming plans get
   // cheaper relative to the index traversals.
-  const uint32_t sort_threads =
-      options.sort_parallel_runs && !SortSerialOnly()
-          ? std::max<uint32_t>(1, options.num_threads)
-          : 1;
+  const uint32_t sort_threads = std::max<uint32_t>(1, options.num_threads);
   decision.sort_cpu_seconds = cost_model_.SortCpuSeconds(
       a.count() + b.count(), sort_grant, sort_threads);
   decision.stream_cost_seconds =

@@ -44,11 +44,9 @@ class Pager {
   /// request without moving bytes. The deterministic-I/O contract (same
   /// modeled io_seconds at any thread count) requires charges to happen
   /// on the consumer/producer thread in serial order even when the byte
-  /// transfer ran early or late on a worker — parallel run formation
-  /// replays the serial charge sequence after its workers moved the
-  /// bytes, and a write-behind writer charges at flush submission while
-  /// the transfer completes in the background. ChargeWrite advances the
-  /// allocation watermark like WriteRun.
+  /// transfer ran on a worker — run formation replays a sequential
+  /// scan's charges in stream order after its units moved the bytes.
+  /// ChargeWrite advances the allocation watermark like WriteRun.
   void ChargeRead(PageId first, uint32_t npages);
   void ChargeWrite(PageId first, uint32_t npages);
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "io/pager.h"
-#include "io/write_behind.h"
 #include "util/logging.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -37,19 +36,12 @@ class StreamWriter {
 
   /// Writes records starting at the pager's current end. `block_pages`
   /// trades buffer memory for request size (PBSM uses small blocks because
-  /// it keeps one writer open per partition). With `wb.enabled` the filled
-  /// block flushes on a background task while the next block fills
-  /// (double-buffered): the modeled write is still charged here, at flush
-  /// submission on the producer thread, so page images, allocation order
-  /// and modeled io_seconds are identical to the synchronous path — only
-  /// io_wall_seconds moves off the producer.
-  explicit StreamWriter(Pager* pager, uint32_t block_pages = kStreamBlockPages,
-                        const WriteBehindContext& wb = WriteBehindContext())
+  /// it keeps one writer open per partition).
+  explicit StreamWriter(Pager* pager, uint32_t block_pages = kStreamBlockPages)
       : pager_(pager),
         block_pages_(block_pages),
         buffer_(block_pages * kPageSize) {
     SJ_CHECK(block_pages_ > 0);
-    if (wb.enabled) write_behind_.emplace(pager, wb.pool);
     first_page_ = pager_->Allocate(0);  // Current end; pages allocated on flush.
   }
 
@@ -81,7 +73,6 @@ class StreamWriter {
   Result<uint64_t> Finish() {
     if (!finished_) {
       FlushBlock();
-      DrainWriteBehind();
       finished_ = true;
     }
     if (!status_.ok()) return status_;
@@ -109,11 +100,6 @@ class StreamWriter {
  private:
   void FlushBlock() {
     if (records_in_block_ == 0) return;
-    // The previous async flush must land before this block is submitted:
-    // its buffer is the one this block swaps into, and its error (if any)
-    // must stop further allocation/charging exactly like a synchronous
-    // failure would.
-    DrainWriteBehind();
     if (!status_.ok()) {
       records_in_block_ = 0;
       return;
@@ -128,34 +114,13 @@ class StreamWriter {
     std::memset(last + used_in_last * sizeof(T), 0,
                 kPageSize - used_in_last * sizeof(T));
     const PageId start = pager_->Allocate(npages);
-    if (write_behind_.has_value()) {
-      pager_->ChargeWrite(start, npages);
-      write_behind_->Start(start, npages, &buffer_);
-      // The swapped-back buffer's record slots are fully overwritten
-      // before the next flush; its page-tail slack bytes were zeroed at
-      // construction and are never written, so page images stay
-      // deterministic across buffer round trips.
-      if (buffer_.size() != size_t{block_pages_} * kPageSize) {
-        buffer_.assign(size_t{block_pages_} * kPageSize, 0);
-      }
-    } else {
-      status_ = pager_->WriteRun(start, npages, buffer_.data());
-    }
+    status_ = pager_->WriteRun(start, npages, buffer_.data());
     records_in_block_ = 0;
-  }
-
-  /// Completes an in-flight async flush, folding its error into the same
-  /// sticky status the synchronous path reports.
-  void DrainWriteBehind() {
-    if (!write_behind_.has_value() || !write_behind_->in_flight()) return;
-    const Status s = write_behind_->Finish();
-    if (status_.ok()) status_ = s;
   }
 
   Pager* pager_;
   uint32_t block_pages_;
   std::vector<uint8_t> buffer_;
-  std::optional<BlockWriteBehind> write_behind_;
   PageId first_page_ = 0;
   uint64_t records_in_block_ = 0;
   uint64_t count_ = 0;

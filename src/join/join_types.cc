@@ -105,7 +105,6 @@ std::vector<std::pair<std::string, std::string>> JoinStats::ToKeyValues()
     kv.emplace_back("sweep_bands", std::to_string(sweep_bands));
   }
   if (sort_merge_fan_in > 0) {
-    kv.emplace_back("sort_runs_parallel", std::to_string(sort_parallel_units));
     kv.emplace_back("merge_fan_in", std::to_string(sort_merge_fan_in));
     kv.emplace_back("merge_passes", std::to_string(sort_merge_passes));
   }

@@ -128,23 +128,6 @@ struct JoinOptions {
   /// only moves *when* bytes arrive, never which requests are charged.
   /// Off by default (costs an extra block buffer per reader).
   bool prefetch = false;
-  /// Parallel run formation in the external sorts: input chunks sort and
-  /// write as independent units on the worker pool (up to num_threads),
-  /// with the modeled I/O charges replayed in serial order afterwards —
-  /// output bytes and modeled io_seconds are identical at any thread
-  /// count. No effect when num_threads <= 1.
-  bool sort_parallel_runs = true;
-  /// External-merge fan-in. 0 = auto: the planner picks the smallest
-  /// fan-in that adds no merge pass over the maximum width and spends the
-  /// freed budget on larger per-run read blocks. Explicit values are
-  /// clamped to [2, layout fan-in].
-  uint32_t merge_fan_in = 0;
-  /// Write-behind run output: a sort/spill writer's filled block flushes
-  /// on a background task while the next block fills. Like prefetch, only
-  /// io_wall_seconds moves — page images, allocation order, and modeled
-  /// io_seconds are unchanged. Off by default (one extra write block per
-  /// open writer).
-  bool sort_write_behind = false;
 };
 
 /// The PrefetchContext a query's options describe (threaded through to
@@ -157,14 +140,13 @@ inline PrefetchContext PrefetchContextOf(const JoinOptions& options) {
 }
 
 /// The SortConfig a query's options describe (threaded through to every
-/// external-sort instantiation, like PrefetchContextOf).
+/// external-sort instantiation, like PrefetchContextOf): run formation
+/// uses num_threads workers on worker_pool; the merge fan-in is the
+/// planner's auto choice.
 inline SortConfig SortConfigOf(const JoinOptions& options) {
   SortConfig config;
-  config.parallel_runs = options.sort_parallel_runs;
   config.threads = std::max<uint32_t>(1, options.num_threads);
   config.pool = options.worker_pool;
-  config.write_behind = options.sort_write_behind;
-  config.merge_fan_in = options.merge_fan_in;
   return config;
 }
 
@@ -224,17 +206,13 @@ struct JoinStats {
   /// for the serial sweep, up to num_threads when the bands ran in
   /// parallel; 0 when no banded sweep ran.
   uint32_t sweep_bands = 0;
-  /// External-sort behaviour (maxima over every sorter the join ran):
-  /// run-formation units that sorted in parallel (0 = every sort stayed
-  /// serial or single-run), the merge fan-in the planner chose, and the
-  /// merge passes it took.
-  uint32_t sort_parallel_units = 0;
+  /// External-sort behaviour (maxima over every sorter the join ran): the
+  /// merge fan-in the planner chose and the merge passes it took.
   uint32_t sort_merge_fan_in = 0;
   uint32_t sort_merge_passes = 0;
 
   /// Folds a sorter's stats into the join-wide maxima.
   void FoldSortStats(const SortStats& s) {
-    sort_parallel_units = std::max(sort_parallel_units, s.parallel_units);
     sort_merge_fan_in = std::max(sort_merge_fan_in, s.merge_fan_in);
     sort_merge_passes = std::max(sort_merge_passes, s.merge_passes);
   }

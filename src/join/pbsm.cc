@@ -329,7 +329,7 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
               MakePager(options.storage.get(), t.disk.get(),
                         "pbsm.overflow." + std::to_string(i)));
           // Partitions are the parallel unit; their overflow sorts stay
-          // single-threaded but keep the write-behind/fan-in knobs.
+          // single-threaded.
           SortConfig overflow_sort = SortConfigOf(options);
           overflow_sort.threads = 1;
           SJ_ASSIGN_OR_RETURN(

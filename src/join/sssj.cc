@@ -100,12 +100,10 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
     }
     MergingReader<RectF, OrderByYLo> source_a(std::move(ra),
                                               /*block_pages=*/8, OrderByYLo(),
-                                              prefetch,
-                                              sort_config.merge_structure);
+                                              prefetch);
     MergingReader<RectF, OrderByYLo> source_b(std::move(rb),
                                               /*block_pages=*/8, OrderByYLo(),
-                                              prefetch,
-                                              sort_config.merge_structure);
+                                              prefetch);
     stats = SweepSortedInputs(source_a, source_b, extent, events,
                               sweep_grant_bytes, options, scope.get(),
                               &measurement, sink);
@@ -258,7 +256,7 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
   };
   // Strips are the parallel unit here: their internal sorts stay
   // single-threaded (nested run-formation fan-out would only contend for
-  // the same workers), but the write-behind and fan-in knobs still apply.
+  // the same workers).
   SortConfig strip_sort_config = SortConfigOf(options);
   strip_sort_config.threads = 1;
   // Inline runs (same condition as ParallelFor's) stream pairs straight

@@ -50,9 +50,8 @@ class RectResolver {
   /// Builds a resolver over `input` (stream, sorted stream, or R-tree).
   /// The build scan is charged to `disk`; scratch files for the external
   /// path come from `storage` (null = in-memory backend). `name` prefixes
-  /// the scratch pager name. `sort_config` shapes the external path's
-  /// id-sort (parallel runs / write-behind / fan-in; same table bytes
-  /// either way).
+  /// the scratch pager name. `sort_config` sets the external path's
+  /// id-sort threads and pool (same table bytes either way).
   static Result<std::unique_ptr<RectResolver>> Build(
       const JoinInput& input, DiskModel* disk, MemoryArbiter* arbiter,
       StorageFactory* storage, const PrefetchContext& prefetch,

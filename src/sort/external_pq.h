@@ -48,18 +48,12 @@ class ExternalPriorityQueue {
   /// small streaming buffer on top. With an arbiter, the budget is
   /// acquired as a tracked "pq.queue" grant (shrunk to what is left).
   /// With `prefetch` enabled, each spill cursor double-buffers (its next
-  /// block fetches in the background while the current one drains); with
-  /// `config.write_behind`, each spill's run writer flushes its filled
-  /// block on a background task while the next packs. Neither changes
-  /// pop order or modeled io_seconds.
+  /// block fetches in the background while the current one drains); that
+  /// changes neither pop order nor modeled io_seconds.
   ExternalPriorityQueue(size_t memory_bytes, Pager* spill, Less less = Less(),
                         MemoryArbiter* arbiter = nullptr,
-                        const PrefetchContext& prefetch = PrefetchContext(),
-                        const SortConfig& config = SortConfig())
+                        const PrefetchContext& prefetch = PrefetchContext())
       : less_(less), spill_(spill), prefetch_(prefetch) {
-    const SortConfig effective = EffectiveSortConfig(config);
-    write_behind_.enabled = effective.write_behind;
-    write_behind_.pool = effective.pool;
     if (arbiter != nullptr) {
       grant_ = arbiter->AcquireShrinkable(grants::kPqQueue, memory_bytes,
                                           kMinHeapRecords * sizeof(T));
@@ -160,7 +154,7 @@ class ExternalPriorityQueue {
     grant_.NoteUsage(MemoryBytes());
     std::sort(heap_.begin(), heap_.end(), less_);
     const size_t keep = heap_.size() / 2;
-    StreamWriter<T> writer(spill_, run_block_pages_, write_behind_);
+    StreamWriter<T> writer(spill_, run_block_pages_);
     const PageId first = writer.first_page();
     for (size_t i = keep; i < heap_.size(); ++i) writer.Append(heap_[i]);
     auto n = writer.Finish();
@@ -180,7 +174,6 @@ class ExternalPriorityQueue {
   Less less_;
   Pager* spill_;
   PrefetchContext prefetch_;
-  WriteBehindContext write_behind_;
   size_t heap_capacity_ = kMinHeapRecords;
   uint32_t run_block_pages_ = 1;
   std::vector<T> heap_;

@@ -13,7 +13,6 @@
 #include "io/pager.h"
 #include "io/prefetch.h"
 #include "io/stream.h"
-#include "io/write_behind.h"
 #include "sort/loser_tree.h"
 #include "sort/run_layout.h"
 #include "sort/sort_config.h"
@@ -32,6 +31,26 @@ struct StreamRange {
   uint64_t count = 0;
 };
 
+/// Opens one streaming reader per run, in run order, and returns each
+/// run's first record (nullopt for an empty run): the loser tree's
+/// initial heads. The materializing merge and MergingReader share it, so
+/// both issue their first-block charges in the same sequence.
+template <typename T>
+std::vector<std::optional<T>> OpenRunReaders(
+    const std::vector<StreamRange>& runs, uint32_t block_pages,
+    const PrefetchContext& prefetch,
+    std::vector<std::unique_ptr<PrefetchingStreamReader<T>>>* readers) {
+  std::vector<std::optional<T>> heads;
+  heads.reserve(runs.size());
+  readers->reserve(runs.size());
+  for (const StreamRange& run : runs) {
+    readers->push_back(std::make_unique<PrefetchingStreamReader<T>>(
+        run.pager, run.first_page, run.count, prefetch, block_pages));
+    heads.push_back(readers->back()->Next());
+  }
+  return heads;
+}
+
 /// External multiway mergesort, the sorting component of SSSJ and of the
 /// R-tree bulk loader.
 ///
@@ -44,29 +63,25 @@ struct StreamRange {
 /// experiment in the paper one merge pass suffices; multi-pass merging
 /// exists for robustness and is covered by tests.
 ///
-/// Three optional perf layers (SortConfig), all bit-identical to the
-/// serial pipeline in output bytes and modeled io_seconds:
+/// One pipeline runs at every thread count, and output bytes and modeled
+/// io_seconds do not depend on that count:
 ///
-///  * Parallel run formation: chunks are sorted and written as
-///    independent units on the worker pool. Chunk boundaries are fixed at
-///    RunCapacity() records regardless of thread count, unit extents are
-///    pre-allocated in unit order (reproducing the serial pager layout),
-///    workers move bytes through the raw backend (wall-timed only), and
-///    the coordinator replays the exact serial modeled-charge sequence
-///    afterwards — so run contents, page images and DiskModel state match
-///    the serial path request for request. Units model the serial
-///    machine: the reported grant usage is the serial-equivalent
-///    footprint (one chunk + one write block), the same convention the
-///    strip/partition parallelism uses; real transient memory is
-///    threads x that.
-///  * Loser-tree merge: one leaf-to-root path (ceil(log2 k) comparisons)
-///    per record instead of two heap sifts, stable on (key, source), fed
-///    by a RunLayout::PlanMerge fan-in that trades pass count against
+///  * Run formation: each chunk is an independent unit, sorted and
+///    written on the worker pool (inline on the caller when
+///    SortConfig::threads is 1). Chunk boundaries are fixed at
+///    RunCapacity() records, unit extents are pre-allocated in unit
+///    order, units move bytes through the raw backend (wall-timed only),
+///    and the caller then replays the modeled charges in the order a
+///    record-at-a-time StreamReader -> StreamWriter loop issues them —
+///    so run contents, page images and DiskModel state are the same at
+///    any thread count, request for request. The reported grant usage is
+///    the one-unit footprint (one chunk + one write block), the same
+///    convention the strip/partition parallelism uses; real transient
+///    memory is threads x that.
+///  * Merge: a loser tree (one leaf-to-root path of ceil(log2 k)
+///    comparisons per record, stable on (key, source)) fed by a
+///    RunLayout::PlanMerge fan-in that trades pass count against
 ///    read-block size under the grant.
-///  * Write-behind output: run and merge writers flush the filled block
-///    on a background task while the next fills (StreamWriter's
-///    double-buffered mode); modeled charges stay on the producer in
-///    stream order, so only io_wall_seconds moves.
 ///
 /// T must be trivially copyable; Less must be a strict weak ordering
 /// (ties break by source run, so even non-total orders merge
@@ -91,7 +106,7 @@ class ExternalSorter {
       : scratch_(scratch),
         less_(less),
         prefetch_(prefetch),
-        config_(EffectiveSortConfig(config)) {
+        config_(config) {
     if (arbiter != nullptr) {
       grant_ = arbiter->AcquireShrinkable(grants::kSortRuns, memory_bytes,
                                           RunLayout::kMinSortMemoryBytes);
@@ -165,28 +180,30 @@ class ExternalSorter {
     grant_.NoteUsage(std::min<uint64_t>(cap, input.count) * sizeof(T) +
                      uint64_t{layout_.write_block_pages} * kPageSize);
     const uint64_t units = (input.count + cap - 1) / cap;
-    if (units >= 2 && FormationThreads() >= 2) {
-      return FormRunsParallel(input, units, runs);
+    std::vector<FormationUnit> plan(units);
+    for (uint64_t u = 0; u < units; ++u) {
+      plan[u].first_record = u * cap;
+      plan[u].count = std::min<uint64_t>(cap, input.count - u * cap);
+      // Pre-allocating every run's extent in unit order lays runs out
+      // back to back, as consecutive StreamWriter flushes would, so
+      // downstream page ids are thread-count independent.
+      plan[u].out_first = scratch_->Allocate(
+          static_cast<uint32_t>(RunPages(plan[u].count)));
     }
-    return FormRunsSerial(input, runs);
+    SJ_RETURN_IF_ERROR(ParallelFor(
+        config_.pool, std::max<uint32_t>(1, config_.threads), units,
+        [&](uint64_t u) { return FormOneRun(input, &plan[u]); }));
+    ReplayFormationCharges(input, plan);
+    for (const FormationUnit& u : plan) {
+      runs->push_back(StreamRange{scratch_, u.out_first, u.count});
+    }
+    return Status::OK();
   }
 
  private:
   static constexpr uint32_t kRecordsPerPage = StreamWriter<T>::kRecordsPerPage;
 
-  uint32_t FormationThreads() const {
-    if (!config_.parallel_runs) return 1;
-    return std::max<uint32_t>(1, config_.threads);
-  }
-
-  WriteBehindContext WriteBehindOf() const {
-    WriteBehindContext wb;
-    wb.enabled = config_.write_behind;
-    wb.pool = config_.pool;
-    return wb;
-  }
-
-  /// Pages a run of `count` records occupies: the serial writer flushes in
+  /// Pages a run of `count` records occupies: a StreamWriter flushes in
   /// write_block_pages-sized blocks, every one full except the last.
   uint64_t RunPages(uint64_t count) const {
     const uint64_t per_block =
@@ -197,31 +214,7 @@ class ExternalSorter {
            (rem + kRecordsPerPage - 1) / kRecordsPerPage;
   }
 
-  Status FormRunsSerial(const StreamRange& input,
-                        std::vector<StreamRange>* runs) {
-    StreamReader<T> reader(input.pager, input.first_page, input.count);
-    const uint64_t cap = RunCapacity();
-    std::vector<T> chunk;
-    chunk.reserve(std::min<uint64_t>(cap, input.count));
-    while (true) {
-      std::optional<T> rec = reader.Next();
-      if (rec.has_value()) chunk.push_back(*rec);
-      if ((!rec.has_value() && !chunk.empty()) || chunk.size() >= cap) {
-        std::sort(chunk.begin(), chunk.end(), less_);
-        StreamWriter<T> writer(scratch_, layout_.write_block_pages,
-                               WriteBehindOf());
-        const PageId first = writer.first_page();
-        for (const T& t : chunk) writer.Append(t);
-        SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
-        runs->push_back(StreamRange{scratch_, first, n});
-        chunk.clear();
-      }
-      if (!rec.has_value()) break;
-    }
-    return Status::OK();
-  }
-
-  /// One run formed off the coordinator thread.
+  /// One run, formed on a worker (or inline on the caller).
   struct FormationUnit {
     uint64_t first_record = 0;
     uint64_t count = 0;
@@ -230,34 +223,9 @@ class ExternalSorter {
     double write_wall = 0.0;
   };
 
-  Status FormRunsParallel(const StreamRange& input, uint64_t units,
-                          std::vector<StreamRange>* runs) {
-    const uint64_t cap = RunCapacity();
-    std::vector<FormationUnit> plan(units);
-    for (uint64_t u = 0; u < units; ++u) {
-      plan[u].first_record = u * cap;
-      plan[u].count = std::min<uint64_t>(cap, input.count - u * cap);
-      // Pre-allocating every run's extent in unit order reproduces the
-      // serial pager layout exactly (serial flushes allocate
-      // consecutively), so downstream page ids are thread-count
-      // independent.
-      plan[u].out_first = scratch_->Allocate(
-          static_cast<uint32_t>(RunPages(plan[u].count)));
-    }
-    SJ_RETURN_IF_ERROR(ParallelFor(
-        config_.pool, FormationThreads(), units,
-        [&](uint64_t u) { return FormOneRun(input, &plan[u]); }));
-    ReplayFormationCharges(input, plan);
-    for (const FormationUnit& u : plan) {
-      runs->push_back(StreamRange{scratch_, u.out_first, u.count});
-    }
-    stats_.parallel_units = static_cast<uint32_t>(units);
-    return Status::OK();
-  }
-
   /// Worker body: reads the unit's records through the raw backend
   /// (uncharged, wall-timed), sorts them, and writes the run's pages into
-  /// its pre-allocated extent with exactly the page images a serial
+  /// its pre-allocated extent with exactly the page images a
   /// StreamWriter would produce (records at slot offsets, zeroed
   /// page-tail slack, zeroed tail after the last record).
   Status FormOneRun(const StreamRange& input, FormationUnit* unit) {
@@ -333,14 +301,14 @@ class ExternalSorter {
     return Status::OK();
   }
 
-  /// Replays the serial modeled-charge sequence on the coordinator after
-  /// the workers moved the bytes, in the exact order the serial pipeline
-  /// issues it: the input StreamReader charges a 64-page block whenever
-  /// the next record is beyond the buffered range, so each unit first
-  /// charges the read blocks needed to cover its records, then its run's
-  /// flush-block writes. Replaying in that interleaving (not merely the
-  /// same multiset of requests) keeps io_seconds bit-identical to the
-  /// serial sum — floating-point accumulation is order-sensitive even
+  /// Replays the modeled-charge sequence on the caller after the units
+  /// moved the bytes, in the order a record-at-a-time StreamReader ->
+  /// StreamWriter loop issues it: the reader charges a 64-page block
+  /// whenever the next record is beyond the buffered range, so each unit
+  /// first charges the read blocks needed to cover its records, then its
+  /// run's flush-block writes. Replaying in that interleaving (not merely
+  /// the same multiset of requests) keeps io_seconds bit-identical at any
+  /// thread count — floating-point accumulation is order-sensitive even
   /// when every individual charge matches.
   void ReplayFormationCharges(const StreamRange& input,
                               const std::vector<FormationUnit>& units) {
@@ -348,7 +316,7 @@ class ExternalSorter {
         (input.count + kRecordsPerPage - 1) / kRecordsPerPage;
     // Records covered by charged read blocks so far (block boundaries do
     // not align with unit boundaries; a straddling block is charged when
-    // its first record is needed, exactly like the serial reader).
+    // its first record is needed, exactly like a StreamReader).
     uint64_t covered = 0;
     uint64_t read_page_off = 0;
     const uint64_t per_write_block =
@@ -388,31 +356,20 @@ class ExternalSorter {
   Result<StreamRange> MergeRuns(const std::vector<StreamRange>& runs,
                                 Pager* output,
                                 const RunLayout::MergePlan& plan) {
-    std::vector<std::unique_ptr<PrefetchingStreamReader<T>>> readers;
-    readers.reserve(runs.size());
-    // Prefetch double-buffers every run reader; write-behind
-    // double-buffers the output writer.
+    // Prefetch double-buffers every run reader.
     grant_.NoteUsage(runs.size() * (prefetch_.enabled ? 2 : 1) *
                          uint64_t{plan.read_block_pages} * kPageSize +
-                     (config_.write_behind ? 2 : 1) *
-                         uint64_t{layout_.write_block_pages} * kPageSize);
-    std::vector<std::optional<T>> heads;
-    heads.reserve(runs.size());
-    for (size_t i = 0; i < runs.size(); ++i) {
-      readers.push_back(std::make_unique<PrefetchingStreamReader<T>>(
-          runs[i].pager, runs[i].first_page, runs[i].count, prefetch_,
-          plan.read_block_pages));
-      heads.push_back(readers[i]->Next());
-    }
-    MergeSelector<T, Less> selector(std::move(heads), less_,
-                                    config_.merge_structure);
-    StreamWriter<T> writer(output, layout_.write_block_pages,
-                           WriteBehindOf());
+                     uint64_t{layout_.write_block_pages} * kPageSize);
+    std::vector<std::unique_ptr<PrefetchingStreamReader<T>>> readers;
+    LoserTree<T, Less> tree(
+        OpenRunReaders<T>(runs, plan.read_block_pages, prefetch_, &readers),
+        less_);
+    StreamWriter<T> writer(output, layout_.write_block_pages);
     const PageId first = writer.first_page();
-    while (!selector.Empty()) {
-      const size_t source = selector.TopSource();
-      writer.Append(selector.Top());
-      selector.ReplaceTop(readers[source]->Next());
+    while (!tree.Empty()) {
+      const size_t source = tree.TopSource();
+      writer.Append(tree.Top());
+      tree.ReplaceTop(readers[source]->Next());
     }
     SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
     return StreamRange{output, first, n};
@@ -456,44 +413,35 @@ class ExternalSorter {
 /// SSSJ's fuse_merge_sweep option plugs this directly into the plane
 /// sweep, eliminating one write pass and one read pass per input relative
 /// to the paper's materializing implementation. Selection runs on the
-/// same stable loser tree as the materializing merge (or the heap
-/// baseline when asked).
+/// same stable loser tree as the materializing merge.
 template <typename T, typename Less>
 class MergingReader {
  public:
   MergingReader(std::vector<StreamRange> runs, uint32_t block_pages,
                 Less less = Less(),
-                const PrefetchContext& prefetch = PrefetchContext(),
-                MergeStructure structure = MergeStructure::kLoserTree) {
-    readers_.reserve(runs.size());
-    std::vector<std::optional<T>> heads;
-    heads.reserve(runs.size());
-    for (size_t i = 0; i < runs.size(); ++i) {
-      readers_.push_back(std::make_unique<PrefetchingStreamReader<T>>(
-          runs[i].pager, runs[i].first_page, runs[i].count, prefetch,
-          block_pages));
-      heads.push_back(readers_[i]->Next());
-    }
-    selector_.emplace(std::move(heads), less, structure);
-  }
+                const PrefetchContext& prefetch = PrefetchContext())
+      : tree_(OpenRunReaders<T>(runs, block_pages, prefetch, &readers_),
+              std::move(less)) {}
 
   std::optional<T> Next() {
-    if (selector_->Empty()) return std::nullopt;
-    const size_t source = selector_->TopSource();
-    T out = selector_->Top();
-    selector_->ReplaceTop(readers_[source]->Next());
+    if (tree_.Empty()) return std::nullopt;
+    const size_t source = tree_.TopSource();
+    T out = tree_.Top();
+    tree_.ReplaceTop(readers_[source]->Next());
     return out;
   }
 
  private:
+  // Declared before tree_: OpenRunReaders fills it while tree_ is
+  // constructed.
   std::vector<std::unique_ptr<PrefetchingStreamReader<T>>> readers_;
-  std::optional<MergeSelector<T, Less>> selector_;
+  LoserTree<T, Less> tree_;
 };
 
 /// Convenience: sorts RectF records by lower y coordinate (the sweep
 /// order). With an arbiter, the sort memory is a tracked grant; `config`
-/// carries the parallel-runs / write-behind / fan-in knobs and `stats`
-/// (when set) receives what the sort did.
+/// carries the thread count, pool and fan-in, and `stats` (when set)
+/// receives what the sort did.
 inline Result<StreamRange> SortRectsByYLo(
     const StreamRange& input, Pager* scratch, Pager* output,
     size_t memory_bytes, MemoryArbiter* arbiter = nullptr,

@@ -1,13 +1,11 @@
 #ifndef USJ_SORT_LOSER_TREE_H_
 #define USJ_SORT_LOSER_TREE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "sort/sort_config.h"
 #include "util/logging.h"
 
 namespace sj {
@@ -19,9 +17,9 @@ namespace sj {
 ///
 /// Ordering is the *stable* merge order: ties between sources break
 /// toward the lower source index, and an exhausted source loses to every
-/// live one. Stability makes the merged output independent of the merge
-/// structure and — because stable k-way merges compose — of the fan-in
-/// the merge planner picks, even for comparators with ties. (Every
+/// live one. Because stable k-way merges compose, stability makes the
+/// merged output independent of the fan-in the merge planner picks, even
+/// for comparators with ties. (Every
 /// comparator the joins use is already a total order; stability is the
 /// belt to that suspender.)
 ///
@@ -91,71 +89,6 @@ class LoserTree {
   std::vector<std::optional<T>> heads_;
   size_t k_;
   std::vector<size_t> tree_;
-};
-
-/// The merge selection structure behind ExternalSorter::MergeRuns and
-/// MergingReader: a LoserTree by default, or the classic binary heap
-/// (kept as the bench baseline). Both implement the same stable
-/// (key, source index) order, so callers get identical output either way.
-template <typename T, typename Less>
-class MergeSelector {
- public:
-  MergeSelector(std::vector<std::optional<T>> heads, Less less,
-                MergeStructure structure)
-      : structure_(structure), less_(std::move(less)) {
-    if (structure_ == MergeStructure::kLoserTree) {
-      tree_.emplace(std::move(heads), less_);
-      return;
-    }
-    for (size_t i = 0; i < heads.size(); ++i) {
-      if (heads[i].has_value()) heap_.push_back(Item{std::move(*heads[i]), i});
-    }
-    std::make_heap(heap_.begin(), heap_.end(), Greater{less_});
-  }
-
-  bool Empty() const {
-    return tree_.has_value() ? tree_->Empty() : heap_.empty();
-  }
-  const T& Top() const {
-    return tree_.has_value() ? tree_->Top() : heap_.front().value;
-  }
-  size_t TopSource() const {
-    return tree_.has_value() ? tree_->TopSource() : heap_.front().source;
-  }
-
-  void ReplaceTop(std::optional<T> next) {
-    if (tree_.has_value()) {
-      tree_->ReplaceTop(std::move(next));
-      return;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), Greater{less_});
-    if (next.has_value()) {
-      heap_.back().value = std::move(*next);
-      std::push_heap(heap_.begin(), heap_.end(), Greater{less_});
-    } else {
-      heap_.pop_back();
-    }
-  }
-
- private:
-  struct Item {
-    T value;
-    size_t source;
-  };
-  /// Min-heap on (value, source) — the same stable order the tree uses.
-  struct Greater {
-    Less less;
-    bool operator()(const Item& a, const Item& b) const {
-      if (less(b.value, a.value)) return true;
-      if (less(a.value, b.value)) return false;
-      return b.source < a.source;
-    }
-  };
-
-  MergeStructure structure_;
-  Less less_;
-  std::optional<LoserTree<T, Less>> tree_;
-  std::vector<Item> heap_;
 };
 
 }  // namespace sj
