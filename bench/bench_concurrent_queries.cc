@@ -63,7 +63,7 @@ RTree BuildTree(Env* env, const DatasetRef& ref, const std::string& name) {
   return std::move(tree).value();
 }
 
-/// The query mix: algorithms across the whole registry, two predicates,
+/// The query mix: every filter algorithm, two predicates,
 /// budgets from comfortable to tight.
 struct QueryKind {
   const char* label;

@@ -13,13 +13,38 @@ namespace sj {
 
 namespace {
 
-/// Folds the compile step's own I/O and CPU (ε-expansion passes, tree
-/// rebuilds) into the reported stats, so a query's counters cover all the
-/// work it caused.
-template <typename Stats>
-void FoldCompileOverhead(const CompiledPlan& plan, Stats* stats) {
+/// Replaces the filter's output with the refinement step's survivors and
+/// folds the step's I/O and CPU (`driver_cpu`: the calling thread's share)
+/// into `stats`.
+void FoldRefinement(const RefineStats& refined, double driver_cpu,
+                    JoinStats* stats) {
+  stats->candidate_count = refined.candidates;
+  stats->output_count = refined.results;
+  stats->refine_pages_read = refined.pages_read;
+  stats->disk += refined.disk;
+  stats->host_cpu_seconds += driver_cpu + refined.host_cpu_seconds;
+}
+
+/// A query's last step: folds the compile step's own I/O and CPU
+/// (ε-expansion passes, tree rebuilds) into the reported stats, so a
+/// query's counters cover all the work it caused, and copies the
+/// arbiter's peak and per-component marks.
+void FoldCompileAndMemory(const CompiledPlan& plan, JoinStats* stats) {
   stats->disk += plan.compile_disk;
   stats->host_cpu_seconds += plan.compile_cpu_seconds;
+  FillMemoryStats(*plan.arbiter, stats);
+}
+
+/// Runs `query` on an inline single-query service owning exactly its
+/// budget (no shared workers, no shared pool), so the standalone path
+/// and the multi-tenant path execute the same admission + execution code
+/// and report errors through the same taxonomy.
+template <typename Sink>
+Result<JoinStats> RunInline(const JoinQuery& query, Sink* sink) {
+  ServiceOptions service_options;
+  service_options.global_memory_bytes = query.options().memory_bytes;
+  SpatialService service(service_options);
+  return service.Submit(query, sink).Result();
 }
 
 Status MissingFeaturesError(size_t index, bool multiway) {
@@ -231,85 +256,59 @@ Result<PlanDecision> JoinQuery::Explain() {
 }
 
 Result<JoinStats> JoinQuery::Run(JoinSink* sink) {
-  // The single-query service: an inline scheduler owning exactly this
-  // query's budget (no shared workers, no shared pool), so the standalone
-  // path and the multi-tenant path execute the same admission + execution
-  // code and report errors through the same taxonomy.
-  ServiceOptions service_options;
-  service_options.global_memory_bytes = options_.memory_bytes;
-  service_options.worker_threads = 0;
-  service_options.buffer_pool_pages = 0;
-  SpatialService service(service_options);
-  return service.Run(*this, sink);
+  return RunInline(*this, sink);
+}
+
+Result<JoinStats> JoinQuery::Run(TupleSink* sink) {
+  return RunInline(*this, sink);
 }
 
 Result<JoinStats> JoinQuery::RunDirect(JoinSink* sink) {
   SJ_ASSIGN_OR_RETURN(CompiledPlan plan, Compile(/*multiway=*/false));
-  const JoinExecutor* executor = FindExecutor(plan.decision.algorithm);
-  if (executor == nullptr) {
-    return Status::Internal(
-        std::string("no JoinExecutor registered for algorithm ") +
-        ToString(plan.decision.algorithm));
-  }
-  SJ_RETURN_IF_ERROR(executor->Validate(plan));
+  JoinStats stats;
   if (!plan.options.refine) {
-    SJ_ASSIGN_OR_RETURN(JoinStats stats, executor->Execute(plan, sink));
+    SJ_ASSIGN_OR_RETURN(stats, ExecuteFilter(plan, sink));
     stats.candidate_count = stats.output_count;
-    FoldCompileOverhead(plan, &stats);
-    FillMemoryStats(*plan.arbiter, &stats);
-    return stats;
+  } else {
+    // Filter step: the MBR join buffers candidates; refinement resolves
+    // them against exact geometry and forwards survivors to the caller.
+    CollectingSink candidates;
+    SJ_ASSIGN_OR_RETURN(stats, ExecuteFilter(plan, &candidates));
+    ThreadCpuTimer refine_cpu;
+    SJ_ASSIGN_OR_RETURN(
+        RefineStats refined,
+        RefinePairs(candidates.pairs(), *plan.inputs[0].features(),
+                    *plan.inputs[1].features(), plan.options, sink,
+                    plan.predicate, plan.arbiter.get()));
+    FoldRefinement(refined, refine_cpu.Elapsed(), &stats);
   }
-  // Filter step: the MBR join buffers candidates; refinement resolves
-  // them against exact geometry and forwards survivors to the caller.
-  CollectingSink candidates;
-  SJ_ASSIGN_OR_RETURN(JoinStats stats, executor->Execute(plan, &candidates));
-  ThreadCpuTimer refine_cpu;
-  SJ_ASSIGN_OR_RETURN(
-      RefineStats refined,
-      RefinePairs(candidates.pairs(), *plan.inputs[0].features(),
-                  *plan.inputs[1].features(), plan.options, sink,
-                  plan.predicate, plan.arbiter.get()));
-  stats.candidate_count = refined.candidates;
-  stats.output_count = refined.results;
-  stats.refine_pages_read = refined.pages_read;
-  stats.disk += refined.disk;
-  stats.host_cpu_seconds += refine_cpu.Elapsed() + refined.host_cpu_seconds;
-  FoldCompileOverhead(plan, &stats);
-  FillMemoryStats(*plan.arbiter, &stats);
+  FoldCompileAndMemory(plan, &stats);
   return stats;
 }
 
-Result<MultiwayStats> JoinQuery::Run(TupleSink* sink) {
+Result<JoinStats> JoinQuery::RunDirect(TupleSink* sink) {
   SJ_ASSIGN_OR_RETURN(CompiledPlan plan, Compile(/*multiway=*/true));
-  auto fill_memory = [&plan](MultiwayStats* stats) {
-    stats->peak_memory_bytes = plan.arbiter->peak_bytes();
-    stats->memory_components = plan.arbiter->ComponentStats();
-  };
+  JoinStats stats;
   if (!plan.options.refine) {
-    SJ_ASSIGN_OR_RETURN(MultiwayStats stats,
-                        ExecuteMultiwayFilter(plan, sink));
-    fill_memory(&stats);
-    return stats;
+    SJ_ASSIGN_OR_RETURN(stats, ExecuteMultiwayFilter(plan, sink));
+  } else {
+    std::vector<const FeatureStore*> stores;
+    stores.reserve(plan.inputs.size());
+    for (const JoinInput& input : plan.inputs) {
+      stores.push_back(input.features());
+    }
+    // Filter step with candidates buffered in memory, then batched k-way
+    // refinement with the pairwise exact predicate.
+    CollectingTupleSink candidates;
+    SJ_ASSIGN_OR_RETURN(stats, ExecuteMultiwayFilter(plan, &candidates));
+    ThreadCpuTimer refine_cpu;
+    SJ_ASSIGN_OR_RETURN(
+        RefineStats refined,
+        RefineTuples(candidates.tuples(), stores, plan.options, sink,
+                     plan.arbiter.get()));
+    FoldRefinement(refined, refine_cpu.Elapsed(), &stats);
   }
-  std::vector<const FeatureStore*> stores;
-  stores.reserve(plan.inputs.size());
-  for (const JoinInput& input : plan.inputs) stores.push_back(input.features());
-  // Filter step with candidates buffered in memory, then batched k-way
-  // refinement with the pairwise exact predicate.
-  CollectingTupleSink candidates;
-  SJ_ASSIGN_OR_RETURN(MultiwayStats stats,
-                      ExecuteMultiwayFilter(plan, &candidates));
-  ThreadCpuTimer refine_cpu;
-  SJ_ASSIGN_OR_RETURN(
-      RefineStats refined,
-      RefineTuples(candidates.tuples(), stores, plan.options, sink,
-                   plan.arbiter.get()));
-  stats.candidate_count = refined.candidates;
-  stats.output_count = refined.results;
-  stats.refine_pages_read = refined.pages_read;
-  stats.disk += refined.disk;
-  stats.host_cpu_seconds += refine_cpu.Elapsed() + refined.host_cpu_seconds;
-  fill_memory(&stats);
+  FoldCompileAndMemory(plan, &stats);
   return stats;
 }
 

@@ -30,11 +30,11 @@ namespace sj {
 ///
 /// Histograms and FeatureStores attach to *inputs* (by position), every
 /// JoinOptions knob can be overridden without mutating the shared joiner,
-/// and Run dispatches through the ExecutorRegistry: two inputs with a
-/// JoinSink run the pairwise pipeline, two or more with a TupleSink run
-/// the k-way chain. The query object is cheap to build and single-shot
-/// state-free: Run() may be called repeatedly and each call compiles a
-/// fresh plan.
+/// and Run picks the execution by sink: two inputs with a JoinSink run the
+/// pairwise pipeline, two or more with a TupleSink run the k-way chain.
+/// Both return JoinStats. The query object is cheap to build and
+/// single-shot state-free: Run() may be called repeatedly and each call
+/// compiles a fresh plan.
 class JoinQuery {
  public:
   /// Queries inherit the joiner's JoinOptions as per-query defaults; the
@@ -122,7 +122,7 @@ class JoinQuery {
   Result<PlanDecision> Explain();
 
   /// Runs the pairwise pipeline (exactly 2 inputs): compile, execute the
-  /// filter through the registry, apply refinement when enabled. Results
+  /// filter step (ExecuteFilter), apply refinement when enabled. Results
   /// go to `sink` as (id from input 0, id from input 1) pairs.
   ///
   /// This is a thin synchronous wrapper over a single-query
@@ -135,10 +135,9 @@ class JoinQuery {
 
   /// Runs the k-way pipeline (>= 2 inputs, Predicate::kIntersects only):
   /// tuples of ids, one per input, whose MBRs share a common point —
-  /// refined against exact geometry when Refine(true). Executes directly
-  /// (the service schedules pairwise queries; a k-way query submitted
-  /// through a service runs under its arbiter via UseArbiter).
-  Result<MultiwayStats> Run(TupleSink* sink);
+  /// refined against exact geometry when Refine(true). Like the pairwise
+  /// Run, a wrapper over an inline single-query SpatialService.
+  Result<JoinStats> Run(TupleSink* sink);
 
  private:
   friend class SpatialService;
@@ -146,9 +145,10 @@ class JoinQuery {
   /// the pipeline's source, executing under the pipeline's arbiter).
   friend class PipelineQuery;
 
-  /// The pairwise execution body (compile + executor dispatch +
-  /// refinement), shared by the Run() wrapper and the service's workers.
+  /// The execution bodies (compile + filter step + refinement), shared by
+  /// the Run() wrappers and the service's workers: pairwise and k-way.
   Result<JoinStats> RunDirect(JoinSink* sink);
+  Result<JoinStats> RunDirect(TupleSink* sink);
   template <typename Fn>
   JoinQuery& Mutate(Fn&& fn) {
     fn(options_);

@@ -36,7 +36,7 @@ std::string HumanBytes(size_t bytes) {
   return buf;
 }
 
-/// Counts the rows crossing into the caller's sink (PipelineStats::
+/// Counts the rows crossing into the caller's sink (JoinStats::
 /// output_count without requiring anything of the sink itself).
 class CountingForward final : public RowSink {
  public:
@@ -142,64 +142,6 @@ std::vector<std::pair<std::string, std::string>> PipelinePlan::ToKeyValues()
 
 std::ostream& operator<<(std::ostream& os, const PipelinePlan& plan) {
   return os << plan.Describe();
-}
-
-// --- PipelineStats ---------------------------------------------------------
-
-std::string PipelineStats::Describe() const {
-  std::ostringstream os;
-  os << "rows=" << output_count << " candidates=" << candidate_count
-     << " pages[r=" << disk.pages_read << " w=" << disk.pages_written
-     << "] peak_mem=" << HumanBytes(peak_memory_bytes);
-  for (const OperatorStats& op : operators) {
-    os << " | " << op.name << " " << op.rows_in << "->" << op.rows_out;
-    if (op.pages_read > 0) os << " pr=" << op.pages_read;
-    if (op.spill_pages > 0) os << " spill=" << op.spill_pages;
-  }
-  return os.str();
-}
-
-std::string PipelineStats::Describe(const MachineModel& m) const {
-  std::ostringstream os;
-  os << Describe() << " | observed=" << FmtG(ObservedSeconds(m))
-     << "s (io=" << FmtG(disk.io_seconds)
-     << "s cpu=" << FmtG(host_cpu_seconds * m.cpu_slowdown) << "s)";
-  return os.str();
-}
-
-std::vector<std::pair<std::string, std::string>> PipelineStats::ToKeyValues()
-    const {
-  std::vector<std::pair<std::string, std::string>> kv;
-  kv.emplace_back("output_count", std::to_string(output_count));
-  kv.emplace_back("candidate_count", std::to_string(candidate_count));
-  kv.emplace_back("refine_pages_read", std::to_string(refine_pages_read));
-  kv.emplace_back("join_algorithm", ToString(join_algorithm));
-  kv.emplace_back("host_cpu_seconds", FmtG(host_cpu_seconds));
-  kv.emplace_back("disk.pages_read", std::to_string(disk.pages_read));
-  kv.emplace_back("disk.pages_written", std::to_string(disk.pages_written));
-  kv.emplace_back("disk.io_seconds", FmtG(disk.io_seconds));
-  kv.emplace_back("peak_memory_bytes", std::to_string(peak_memory_bytes));
-  for (size_t i = 0; i < operators.size(); ++i) {
-    const std::string prefix = "op." + std::to_string(i) + ".";
-    kv.emplace_back(prefix + "name", operators[i].name);
-    kv.emplace_back(prefix + "rows_in", std::to_string(operators[i].rows_in));
-    kv.emplace_back(prefix + "rows_out", std::to_string(operators[i].rows_out));
-    kv.emplace_back(prefix + "pages_read",
-                    std::to_string(operators[i].pages_read));
-    kv.emplace_back(prefix + "spill_pages",
-                    std::to_string(operators[i].spill_pages));
-  }
-  for (const MemoryComponentStats& c : memory_components) {
-    kv.emplace_back("memory." + c.component + ".granted",
-                    std::to_string(c.granted_high_water));
-    kv.emplace_back("memory." + c.component + ".used",
-                    std::to_string(c.used_high_water));
-  }
-  return kv;
-}
-
-std::ostream& operator<<(std::ostream& os, const PipelineStats& stats) {
-  return os << stats.Describe();
 }
 
 // --- PipelineQuery: builder ------------------------------------------------
@@ -613,19 +555,17 @@ Result<PipelinePlan> PipelineQuery::Explain() {
 
 // --- Execution -------------------------------------------------------------
 
-Result<PipelineStats> PipelineQuery::Run(RowSink* sink) {
+Result<JoinStats> PipelineQuery::Run(RowSink* sink) {
   // The single-query service, exactly like JoinQuery::Run: an inline
   // scheduler owning this query's budget, so standalone pipelines and
   // multi-tenant submissions execute the same admission + execution path.
   ServiceOptions service_options;
   service_options.global_memory_bytes = options_.memory_bytes;
-  service_options.worker_threads = 0;
-  service_options.buffer_pool_pages = 0;
   SpatialService service(service_options);
   return service.Run(*this, sink);
 }
 
-Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
+Result<JoinStats> PipelineQuery::RunDirect(RowSink* sink) {
   SJ_RETURN_IF_ERROR(Validate());
   if (options_.memory_bytes < kMinMemoryBytes) {
     return Status::FailedPrecondition(
@@ -652,7 +592,7 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
   ctx.storage = options_.storage.get();
   ctx.prefetch = PrefetchContextOf(options_);
 
-  PipelineStats out;
+  JoinStats out;
   ThreadCpuTimer cpu;
   DiskStats main_mark = main_disk->stats();
 
@@ -720,12 +660,16 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
     }
     JoinRowAdapter adapter(resolver_ptrs, head);
 
+    // The join runs directly under the pipeline's arbiter (not through
+    // JoinQuery::Run, whose inline service would carve a second budget);
+    // Validate() leaves algorithm_ at kAuto for k-way sources.
     JoinQuery jq(*joiner_);
     jq.mutable_options() = options_;
     for (const JoinInput& input : join_inputs) jq.Input(input);
     for (const auto& [i, h] : histograms_) jq.WithHistogram(i, h);
     for (const auto& [i, f] : features_) jq.WithFeatures(i, f);
     jq.Predicate(predicate_.kind, predicate_.epsilon);
+    jq.Algorithm(algorithm_);
     jq.UseArbiter(arbiter);
 
     // Close the preparation segment: the join's own measurement (which
@@ -733,26 +677,16 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
     out.host_cpu_seconds += cpu.Elapsed();
     out.disk += main_disk->stats() - main_mark;
 
-    uint64_t join_rows = 0;
-    if (join_inputs.size() == 2) {
-      jq.Algorithm(algorithm_);
-      SJ_ASSIGN_OR_RETURN(PlanDecision decision, jq.Explain());
-      out.join_algorithm = decision.algorithm;
-      SJ_ASSIGN_OR_RETURN(JoinStats join_stats, jq.RunDirect(&adapter));
-      out.disk += join_stats.disk;
-      out.host_cpu_seconds += join_stats.host_cpu_seconds;
-      out.candidate_count = join_stats.candidate_count;
-      out.refine_pages_read = join_stats.refine_pages_read;
-      join_rows = join_stats.output_count;
-    } else {
-      SJ_ASSIGN_OR_RETURN(MultiwayStats join_stats,
-                          jq.Run(static_cast<TupleSink*>(&adapter)));
-      out.disk += join_stats.disk;
-      out.host_cpu_seconds += join_stats.host_cpu_seconds;
-      out.candidate_count = join_stats.candidate_count;
-      out.refine_pages_read = join_stats.refine_pages_read;
-      join_rows = join_stats.output_count;
-    }
+    const bool pairwise = join_inputs.size() == 2;
+    SJ_ASSIGN_OR_RETURN(
+        const JoinStats join,
+        pairwise ? jq.RunDirect(static_cast<JoinSink*>(&adapter))
+                 : jq.RunDirect(static_cast<TupleSink*>(&adapter)));
+    out.disk += join.disk;
+    out.host_cpu_seconds += join.host_cpu_seconds;
+    out.candidate_count = join.candidate_count;
+    out.refine_pages_read = join.refine_pages_read;
+    out.algorithm = join.algorithm;
     cpu.Restart();
     main_mark = main_disk->stats();
 
@@ -760,11 +694,10 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
     for (auto& op : chain) SJ_RETURN_IF_ERROR(op->Finish());
 
     OperatorStats join_op;
-    join_op.name = join_inputs.size() == 2
-                       ? std::string("SpatialJoin[") +
-                             ToString(out.join_algorithm) + "]"
-                       : "MultiwayJoin";
-    join_op.rows_in = join_rows;
+    join_op.name = pairwise ? std::string("SpatialJoin[") +
+                                  ToString(out.algorithm) + "]"
+                            : "MultiwayJoin";
+    join_op.rows_in = join.output_count;
     join_op.rows_out = adapter.rows_forwarded();
     for (const RectResolver* r : resolver_ptrs) {
       join_op.pages_read += r->lookup_pages_read();
@@ -777,8 +710,7 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
   out.host_cpu_seconds += cpu.Elapsed();
   out.disk += main_disk->stats() - main_mark;
   out.disk += op_disk.stats();
-  out.peak_memory_bytes = arbiter->peak_bytes();
-  out.memory_components = arbiter->ComponentStats();
+  FillMemoryStats(*arbiter, &out);
   return out;
 }
 

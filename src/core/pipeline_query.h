@@ -62,39 +62,10 @@ struct PipelinePlan {
 
 std::ostream& operator<<(std::ostream& os, const PipelinePlan& plan);
 
-/// Everything measured about one pipeline execution — the pipeline analog
-/// of JoinStats, with per-operator row/page counters on top.
-struct PipelineStats {
-  /// Rows delivered to the caller's RowSink.
-  uint64_t output_count = 0;
-  double host_cpu_seconds = 0.0;
-  /// Whole-pipeline I/O: the query's DiskModel delta (scans, join,
-  /// including parallel shard merges) plus the pipeline's own scratch
-  /// traffic (rect maps, aggregation spills).
-  DiskStats disk;
-  /// Join-source measurements (0 / kAuto for scan-source pipelines).
-  uint64_t candidate_count = 0;
-  uint64_t refine_pages_read = 0;
-  JoinAlgorithm join_algorithm = JoinAlgorithm::kAuto;
-  /// Memory governance: one arbiter spans the join and every operator.
-  size_t peak_memory_bytes = 0;
-  std::vector<MemoryComponentStats> memory_components;
-  /// Per-operator counters, source first.
-  std::vector<OperatorStats> operators;
-
-  double ObservedSeconds(const MachineModel& m) const {
-    return disk.io_seconds + host_cpu_seconds * m.cpu_slowdown;
-  }
-
-  /// One human-readable line of the machine-independent counters.
-  std::string Describe() const;
-  /// Describe() plus the modeled time under machine `m`.
-  std::string Describe(const MachineModel& m) const;
-  /// Structured form, same convention as JoinStats::ToKeyValues().
-  std::vector<std::pair<std::string, std::string>> ToKeyValues() const;
-};
-
-std::ostream& operator<<(std::ostream& os, const PipelineStats& stats);
+/// Kept so that code written against the former pipeline-only stats type
+/// (perfbench/ among it) still compiles: every query now
+/// reports JoinStats, a pipeline's per-operator counters included.
+using PipelineStats = JoinStats;
 
 /// A composable physical-operator pipeline against a SpatialJoiner — the
 /// sibling of JoinQuery for queries that are more than one join: spatial
@@ -213,8 +184,10 @@ class PipelineQuery {
 
   /// Runs the pipeline, streaming output rows into `sink`. Like
   /// JoinQuery::Run, this wraps an inline single-query SpatialService, so
-  /// standalone and multi-tenant submissions are one code path.
-  Result<PipelineStats> Run(RowSink* sink);
+  /// standalone and multi-tenant submissions are one code path. The stats
+  /// carry the rows delivered (output_count), the join source's counters
+  /// and algorithm, and per-operator counters, source first.
+  Result<JoinStats> Run(RowSink* sink);
 
  private:
   friend class SpatialService;
@@ -237,7 +210,7 @@ class PipelineQuery {
 
   /// The execution body (validation, source materialization, operator
   /// chain), shared by the Run() wrapper and the service's workers.
-  Result<PipelineStats> RunDirect(RowSink* sink);
+  Result<JoinStats> RunDirect(RowSink* sink);
 
   Status Validate() const;
   /// The grid extent an AggregateByCell spec resolves to.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "core/join_query.h"
 #include "join/partition_plan.h"
 
 namespace sj {
@@ -192,26 +191,6 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
         "random index reads would cost more than streaming; ignoring index";
   }
   return finalize(decision);
-}
-
-Result<JoinStats> SpatialJoiner::Join(const JoinInput& a, const JoinInput& b,
-                                      JoinSink* sink, JoinAlgorithm algorithm,
-                                      const GridHistogram* hist_a,
-                                      const GridHistogram* hist_b) {
-  return JoinQuery(*this)
-      .Input(a)
-      .Input(b)
-      .WithHistogram(0, hist_a)
-      .WithHistogram(1, hist_b)
-      .Algorithm(algorithm)
-      .Run(sink);
-}
-
-Result<MultiwayStats> SpatialJoiner::MultiwayJoin(
-    const std::vector<JoinInput>& inputs, TupleSink* sink) {
-  JoinQuery query(*this);
-  for (const JoinInput& input : inputs) query.Input(input);
-  return query.Run(sink);
 }
 
 }  // namespace sj

@@ -16,22 +16,6 @@
 
 namespace sj {
 
-const char* ToString(JoinAlgorithm algo) {
-  switch (algo) {
-    case JoinAlgorithm::kAuto:
-      return "AUTO";
-    case JoinAlgorithm::kSSSJ:
-      return "SSSJ";
-    case JoinAlgorithm::kPBSM:
-      return "PBSM";
-    case JoinAlgorithm::kST:
-      return "ST";
-    case JoinAlgorithm::kPQ:
-      return "PQ";
-  }
-  return "?";
-}
-
 uint64_t JoinInput::pages() const {
   if (indexed()) return rtree_->node_count();
   constexpr uint64_t per_page = kPageSize / sizeof(RectF);
@@ -190,19 +174,11 @@ std::ostream& operator<<(std::ostream& os, const PlanDecision& decision) {
   return os << decision.Describe();
 }
 
-Status JoinExecutor::Validate(const CompiledPlan& plan) const {
-  if (plan.inputs.size() != 2) {
-    return Status::InvalidArgument(std::string(name()) +
-                                   " executes pairwise joins only");
-  }
-  return Status::OK();
-}
-
 namespace {
 
 /// Materializes an indexed input as a stream (sequential leaf scan), for
 /// running stream algorithms against trees. The backing pager is parked
-/// on the plan so the returned DatasetRef outlives the executor call.
+/// on the plan so the returned DatasetRef outlives the filter step.
 Result<DatasetRef> ExtractLeaves(CompiledPlan& plan, const RTree& tree) {
   // Collect before the writer exists so an index error unwinds without
   // leaving an unfinished stream behind.
@@ -286,145 +262,88 @@ Result<PreparedSource> PrepareSource(CompiledPlan& plan,
   return Status::Internal("unreachable join input kind");
 }
 
-/// SSSJ and PBSM share their input handling: both consume plain streams,
-/// so indexed inputs are first flattened with a leaf scan.
-class StreamAlgorithmExecutor : public JoinExecutor {
- public:
-  Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const final {
-    DatasetRef ra, rb;
-    if (plan.inputs[0].indexed()) {
-      SJ_ASSIGN_OR_RETURN(ra, ExtractLeaves(plan, *plan.inputs[0].rtree()));
-    } else {
-      ra = plan.inputs[0].stream();
-    }
-    if (plan.inputs[1].indexed()) {
-      SJ_ASSIGN_OR_RETURN(rb, ExtractLeaves(plan, *plan.inputs[1].rtree()));
-    } else {
-      rb = plan.inputs[1].stream();
-    }
-    return ExecuteStreams(plan, ra, rb, sink);
-  }
+/// The input as a plain stream: indexed inputs are flattened with a leaf
+/// scan (SSSJ and PBSM consume streams only).
+Result<DatasetRef> StreamOf(CompiledPlan& plan, const JoinInput& input) {
+  if (input.indexed()) return ExtractLeaves(plan, *input.rtree());
+  return input.stream();
+}
 
- protected:
-  virtual Result<JoinStats> ExecuteStreams(CompiledPlan& plan,
-                                           const DatasetRef& a,
-                                           const DatasetRef& b,
-                                           JoinSink* sink) const = 0;
-};
-
-class SSSJExecutor final : public StreamAlgorithmExecutor {
- public:
-  JoinAlgorithm algorithm() const override { return JoinAlgorithm::kSSSJ; }
-  const char* name() const override { return "SSSJ"; }
-
- protected:
-  Result<JoinStats> ExecuteStreams(CompiledPlan& plan, const DatasetRef& a,
-                                   const DatasetRef& b,
-                                   JoinSink* sink) const override {
-    return SSSJJoin(a, b, plan.disk, plan.options, sink, plan.arbiter.get());
-  }
-};
-
-class PBSMExecutor final : public StreamAlgorithmExecutor {
- public:
-  JoinAlgorithm algorithm() const override { return JoinAlgorithm::kPBSM; }
-  const char* name() const override { return "PBSM"; }
-
- protected:
-  Result<JoinStats> ExecuteStreams(CompiledPlan& plan, const DatasetRef& a,
-                                   const DatasetRef& b,
-                                   JoinSink* sink) const override {
-    // Attached histograms spare the adaptive planner its build pass.
-    // (The compile step clears them when an ε-expansion makes them
-    // stale, so PBSM then re-derives density from the expanded stream.)
-    return PBSMJoin(a, b, plan.disk, plan.options, sink,
-                    plan.prune_histogram(0), plan.prune_histogram(1),
-                    plan.arbiter.get());
-  }
-};
-
-class STExecutor final : public JoinExecutor {
- public:
-  JoinAlgorithm algorithm() const override { return JoinAlgorithm::kST; }
-  const char* name() const override { return "ST"; }
-
-  Status Validate(const CompiledPlan& plan) const override {
-    SJ_RETURN_IF_ERROR(JoinExecutor::Validate(plan));
-    if (!plan.inputs[0].indexed() || !plan.inputs[1].indexed()) {
-      return Status::FailedPrecondition(
-          "ST requires R-tree indexes on both inputs");
-    }
-    return Status::OK();
-  }
-
-  Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const override {
-    return STJoin(*plan.inputs[0].rtree(), *plan.inputs[1].rtree(), plan.disk,
-                  plan.options, sink, plan.arbiter.get());
-  }
-};
-
-class PQExecutor final : public JoinExecutor {
- public:
-  JoinAlgorithm algorithm() const override { return JoinAlgorithm::kPQ; }
-  const char* name() const override { return "PQ"; }
-
-  Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const override {
-    const RectF extent_a = plan.inputs[0].extent();
-    const RectF extent_b = plan.inputs[1].extent();
-    SJ_ASSIGN_OR_RETURN(
-        PreparedSource sa,
-        PrepareSource(plan, plan.inputs[0], &extent_b,
-                      plan.prune_histogram(1)));
-    SJ_ASSIGN_OR_RETURN(
-        PreparedSource sb,
-        PrepareSource(plan, plan.inputs[1], &extent_a,
-                      plan.prune_histogram(0)));
-    RectF extent = extent_a;
-    extent.ExtendTo(extent_b);
-    SJ_ASSIGN_OR_RETURN(
-        JoinStats stats,
-        PQJoinSources(sa.source.get(), sb.source.get(), extent, plan.disk,
-                      plan.options, sink, plan.arbiter.get()));
-    stats.index_pages_read = sa.index_pages_read() + sb.index_pages_read();
-    return stats;
-  }
-};
+/// PQ over any mix of inputs: each side becomes a sorted source, indexed
+/// sides selective traversals pruned by the other side.
+Result<JoinStats> ExecutePQ(CompiledPlan& plan, JoinSink* sink) {
+  const RectF extent_a = plan.inputs[0].extent();
+  const RectF extent_b = plan.inputs[1].extent();
+  SJ_ASSIGN_OR_RETURN(
+      PreparedSource sa,
+      PrepareSource(plan, plan.inputs[0], &extent_b, plan.prune_histogram(1)));
+  SJ_ASSIGN_OR_RETURN(
+      PreparedSource sb,
+      PrepareSource(plan, plan.inputs[1], &extent_a, plan.prune_histogram(0)));
+  RectF extent = extent_a;
+  extent.ExtendTo(extent_b);
+  SJ_ASSIGN_OR_RETURN(
+      JoinStats stats,
+      PQJoinSources(sa.source.get(), sb.source.get(), extent, plan.disk,
+                    plan.options, sink, plan.arbiter.get()));
+  stats.index_pages_read = sa.index_pages_read() + sb.index_pages_read();
+  return stats;
+}
 
 }  // namespace
 
-ExecutorRegistry::ExecutorRegistry() {
-  static const SSSJExecutor sssj;
-  static const PBSMExecutor pbsm;
-  static const STExecutor st;
-  static const PQExecutor pq;
-  Register(&sssj);
-  Register(&pbsm);
-  Register(&st);
-  Register(&pq);
+Result<JoinStats> ExecuteFilter(CompiledPlan& plan, JoinSink* sink) {
+  if (plan.inputs.size() != 2) {
+    return Status::InvalidArgument(
+        "the filter step executes pairwise joins only");
+  }
+  const JoinInput& a = plan.inputs[0];
+  const JoinInput& b = plan.inputs[1];
+  JoinStats stats;
+  switch (plan.decision.algorithm) {
+    case JoinAlgorithm::kAuto:
+      return Status::Internal(
+          "kAuto reached the filter step: the planner resolves it to a "
+          "concrete algorithm");
+    case JoinAlgorithm::kSSSJ: {
+      SJ_ASSIGN_OR_RETURN(DatasetRef ra, StreamOf(plan, a));
+      SJ_ASSIGN_OR_RETURN(DatasetRef rb, StreamOf(plan, b));
+      SJ_ASSIGN_OR_RETURN(stats, SSSJJoin(ra, rb, plan.disk, plan.options,
+                                          sink, plan.arbiter.get()));
+      break;
+    }
+    case JoinAlgorithm::kPBSM: {
+      SJ_ASSIGN_OR_RETURN(DatasetRef ra, StreamOf(plan, a));
+      SJ_ASSIGN_OR_RETURN(DatasetRef rb, StreamOf(plan, b));
+      // Attached histograms spare the adaptive planner its build pass.
+      // (The compile step clears them when an ε-expansion makes them
+      // stale, so PBSM then re-derives density from the expanded stream.)
+      SJ_ASSIGN_OR_RETURN(
+          stats, PBSMJoin(ra, rb, plan.disk, plan.options, sink,
+                          plan.prune_histogram(0), plan.prune_histogram(1),
+                          plan.arbiter.get()));
+      break;
+    }
+    case JoinAlgorithm::kST: {
+      if (!a.indexed() || !b.indexed()) {
+        return Status::FailedPrecondition(
+            "ST requires R-tree indexes on both inputs");
+      }
+      SJ_ASSIGN_OR_RETURN(stats, STJoin(*a.rtree(), *b.rtree(), plan.disk,
+                                        plan.options, sink,
+                                        plan.arbiter.get()));
+      break;
+    }
+    case JoinAlgorithm::kPQ: {
+      SJ_ASSIGN_OR_RETURN(stats, ExecutePQ(plan, sink));
+      break;
+    }
+  }
+  stats.algorithm = plan.decision.algorithm;
+  return stats;
 }
 
-ExecutorRegistry& ExecutorRegistry::Instance() {
-  static ExecutorRegistry registry;
-  return registry;
-}
-
-void ExecutorRegistry::Register(const JoinExecutor* executor) {
-  const size_t slot = static_cast<size_t>(executor->algorithm());
-  SJ_CHECK(slot < kSlots) << "JoinAlgorithm value out of registry range";
-  table_[slot] = executor;
-}
-
-const JoinExecutor* ExecutorRegistry::Find(JoinAlgorithm algo) const {
-  const size_t slot = static_cast<size_t>(algo);
-  return slot < kSlots ? table_[slot] : nullptr;
-}
-
-const JoinExecutor* FindExecutor(JoinAlgorithm algo) {
-  return ExecutorRegistry::Instance().Find(algo);
-}
-
-Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
-                                            TupleSink* sink) {
+Result<JoinStats> ExecuteMultiwayFilter(CompiledPlan& plan, TupleSink* sink) {
   std::vector<PreparedSource> prepared;
   prepared.reserve(plan.inputs.size());
   RectF extent = RectF::Empty();
@@ -435,15 +354,15 @@ Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
   }
   // The chain's in-memory state (sweep structures, lazy pair tables,
   // traversal queues) runs under one grant; its sampled maximum
-  // (MultiwayStats::max_bytes) is reported as usage, so a strict
+  // (JoinStats::max_queue_bytes) is reported as usage, so a strict
   // arbiter aborts when a k-way chain outgrows the budget.
   MemoryGrant chain_grant;
   if (plan.arbiter != nullptr) {
     chain_grant = plan.arbiter->AcquireShrinkable(
         grants::kSweep, plan.arbiter->budget() / 2, /*floor_bytes=*/0);
   }
-  auto note_chain = [&chain_grant](const MultiwayStats& stats) {
-    chain_grant.NoteUsage(stats.max_bytes);
+  auto note_chain = [&chain_grant](const JoinStats& stats) {
+    chain_grant.NoteUsage(stats.max_queue_bytes);
   };
   if (plan.options.num_threads > 1) {
     // Parallel path: materialize every prepared source as a y-sorted
@@ -477,7 +396,7 @@ Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
     }
     const JoinStats materialize = materialize_measurement.Finish();
     SJ_ASSIGN_OR_RETURN(
-        MultiwayStats stats,
+        JoinStats stats,
         MultiwayJoinStreams(streams, extent, plan.disk, plan.options, sink));
     stats.disk += materialize.disk;
     stats.host_cpu_seconds += materialize.host_cpu_seconds;
@@ -489,7 +408,7 @@ Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
   sources.reserve(prepared.size());
   for (PreparedSource& p : prepared) sources.push_back(p.source.get());
   SJ_ASSIGN_OR_RETURN(
-      MultiwayStats stats,
+      JoinStats stats,
       MultiwayJoinSources(sources, extent, plan.disk, plan.options, sink));
   stats.candidate_count = stats.output_count;
   note_chain(stats);

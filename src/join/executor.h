@@ -77,17 +77,6 @@ class JoinInput {
   const FeatureStore* features_ = nullptr;
 };
 
-/// Which algorithm executes a join.
-enum class JoinAlgorithm {
-  kAuto,  ///< Let the planner decide from the cost model.
-  kSSSJ,
-  kPBSM,
-  kST,
-  kPQ,
-};
-
-const char* ToString(JoinAlgorithm algo);
-
 /// The planner's verdict, with the numbers behind it.
 struct PlanDecision {
   JoinAlgorithm algorithm = JoinAlgorithm::kSSSJ;
@@ -126,7 +115,7 @@ struct PlanDecision {
   /// stream/index costs above.
   double pbsm_cost_seconds = 0.0;
   /// The memory shape of the chosen algorithm under the query's budget:
-  /// which components will be granted how much (the executors acquire
+  /// which components will be granted how much (the filter step acquires
   /// the live grants with the same names and arithmetic). The stream and
   /// index costs above are priced at these *granted* sizes — a tight
   /// budget adds external-sort merge passes to the streaming plans and
@@ -152,22 +141,21 @@ struct PlanDecision {
 
 std::ostream& operator<<(std::ostream& os, const PlanDecision& decision);
 
-/// The compile step's output: a JoinQuery resolved into exactly what an
-/// executor needs — filter-ready inputs (ε-expansion for distance
+/// The compile step's output: a JoinQuery resolved into exactly what the
+/// filter step needs — filter-ready inputs (ε-expansion for distance
 /// predicates already applied, temporaries owned here), the effective
 /// per-query options, the predicate, and the planner's decision. One plan
-/// structure for every algorithm, so adding an executor never touches the
-/// facade.
+/// structure for every algorithm.
 struct CompiledPlan {
   DiskModel* disk = nullptr;
   /// Effective options for this query (the joiner's defaults plus the
-  /// query's overrides). Executors must read options from here, never
+  /// query's overrides). The filter step reads options from here, never
   /// from the joiner.
   JoinOptions options;
   PredicateSpec predicate;
   /// Resolved inputs, in query order. For kDistanceWithin one side has
   /// been rewritten to an ε-expanded copy (a stream, or a rebuilt tree if
-  /// the ST executor needs an index on that side).
+  /// the forced ST algorithm needs an index on that side).
   std::vector<JoinInput> inputs;
   /// Per-input occupancy histograms available for *pruning* index
   /// traversals (nullptr entries allowed). Cleared by the compile step
@@ -176,7 +164,7 @@ struct CompiledPlan {
   /// The planner's decision for pairwise plans (decision.algorithm is the
   /// algorithm to execute; for forced algorithms the rationale says so).
   PlanDecision decision;
-  /// The query's memory governor: every executor draws its grants from
+  /// The query's memory governor: the filter step draws its grants from
   /// here (and threads it into the algorithm layer), so one budget bounds
   /// the whole execution — filter, spills, refinement — and the stats
   /// report one coherent peak. Created by the compile step from the
@@ -197,62 +185,21 @@ struct CompiledPlan {
   }
 };
 
-/// One join algorithm behind the unified facade. Executors run the MBR
-/// *filter step* only: predicates and refinement are applied by the query
-/// layer around them, so an executor is exactly "pairs of intersecting
-/// MBRs from plan.inputs[0] x plan.inputs[1] into sink".
-///
-/// Implementations are stateless (per-execution state lives on the plan
-/// or the executor's stack) and registered once in the ExecutorRegistry.
-class JoinExecutor {
- public:
-  virtual ~JoinExecutor() = default;
-
-  /// The algorithm this executor implements (its registry key).
-  virtual JoinAlgorithm algorithm() const = 0;
-  virtual const char* name() const = 0;
-
-  /// Fast structural check (input kinds etc.) before any I/O.
-  virtual Status Validate(const CompiledPlan& plan) const;
-
-  /// Runs the filter join. May allocate temporaries on the plan
-  /// (leaf-extraction streams), which is why the plan is mutable.
-  virtual Result<JoinStats> Execute(CompiledPlan& plan,
-                                    JoinSink* sink) const = 0;
-};
-
-/// The table of executors, keyed by JoinAlgorithm. The four built-in
-/// algorithms (SSSJ, PBSM, ST, PQ) register themselves on first use; an
-/// out-of-tree algorithm registers with Register() once at startup and is
-/// then reachable through the whole JoinQuery/SpatialJoiner surface —
-/// adding an algorithm never touches the facade.
-class ExecutorRegistry {
- public:
-  static ExecutorRegistry& Instance();
-
-  /// Registers `executor` (not owned; must outlive the registry) under
-  /// executor->algorithm(). Replaces any previous registration.
-  void Register(const JoinExecutor* executor);
-
-  /// The executor for `algo`, or nullptr when none is registered (kAuto
-  /// never has one: it resolves to a concrete algorithm at plan time).
-  const JoinExecutor* Find(JoinAlgorithm algo) const;
-
- private:
-  ExecutorRegistry();
-
-  static constexpr size_t kSlots = 8;
-  const JoinExecutor* table_[kSlots] = {};
-};
-
-/// Convenience wrapper over ExecutorRegistry::Instance().Find().
-const JoinExecutor* FindExecutor(JoinAlgorithm algo);
+/// The pairwise filter step: runs plan.decision.algorithm over
+/// plan.inputs[0] x plan.inputs[1] and emits every pair of intersecting
+/// MBRs into `sink`. Predicates and refinement are applied by the query
+/// layer around it. SSSJ and PBSM flatten indexed inputs with a leaf scan;
+/// ST needs R-trees on both sides (FailedPrecondition otherwise); PQ takes
+/// any mix. May allocate temporaries on the plan (leaf-extraction
+/// streams), which is why the plan is mutable. The returned stats name the
+/// algorithm that ran.
+Result<JoinStats> ExecuteFilter(CompiledPlan& plan, JoinSink* sink);
 
 /// The memory planner: carves a (floor-clamped) JoinOptions::memory_bytes
 /// budget into the component grants `algo` will acquire, for an input of
 /// `input_bytes` total MBR records. Used by SpatialJoiner::Plan (so
 /// Explain() reports the breakdown and the cost model prices plans at
-/// their granted memory) and mirrored by the executors' live Acquire
+/// their granted memory) and mirrored by the filter step's live Acquire
 /// calls.
 MemoryPlan PlanJoinMemory(JoinAlgorithm algo, const JoinOptions& options,
                           uint64_t input_bytes);
@@ -261,10 +208,8 @@ MemoryPlan PlanJoinMemory(JoinAlgorithm algo, const JoinOptions& options,
 /// becomes a sorted source (selective index traversals included) feeding
 /// the left-deep chain of lazy PQ sweeps — or, with options.num_threads >
 /// 1, the strip-parallel path over materialized streams. Algorithm
-/// dispatch does not apply (the chain is the only k-way execution), which
-/// is why this is a free function rather than a registry entry.
-Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
-                                            TupleSink* sink);
+/// dispatch does not apply: the chain is the only k-way execution.
+Result<JoinStats> ExecuteMultiwayFilter(CompiledPlan& plan, TupleSink* sink);
 
 }  // namespace sj
 

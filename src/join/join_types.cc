@@ -5,10 +5,30 @@
 
 namespace sj {
 
+const char* ToString(JoinAlgorithm algo) {
+  switch (algo) {
+    case JoinAlgorithm::kAuto:
+      return "AUTO";
+    case JoinAlgorithm::kSSSJ:
+      return "SSSJ";
+    case JoinAlgorithm::kPBSM:
+      return "PBSM";
+    case JoinAlgorithm::kST:
+      return "ST";
+    case JoinAlgorithm::kPQ:
+      return "PQ";
+  }
+  return "?";
+}
+
 std::string JoinStats::Describe() const {
   std::ostringstream os;
-  os << output_count << " result pairs";
-  if (candidate_count != output_count) {
+  if (algorithm != JoinAlgorithm::kAuto) os << ToString(algorithm) << ": ";
+  os << output_count << " results";
+  // A pipeline's operators change the row count after the join, so only
+  // its refinement step, when one ran, earns the clause.
+  if (operators.empty() ? candidate_count != output_count
+                        : refine_pages_read > 0) {
     os << " (" << candidate_count << " candidates before refinement, "
        << refine_pages_read << " feature pages fetched)";
   }
@@ -18,6 +38,9 @@ std::string JoinStats::Describe() const {
   if (max_sweep_bytes > 0) {
     os << "; sweep max " << (max_sweep_bytes + 1023) / 1024 << " KB";
     if (sweep_bands > 1) os << " in " << sweep_bands << " bands";
+  }
+  if (max_queue_bytes > 0) {
+    os << "; queue max " << (max_queue_bytes + 1023) / 1024 << " KB";
   }
   if (sweep_strips_collapsed) {
     os << "; STRIPED SWEEP COLLAPSED (degenerate extent, single strip)";
@@ -50,6 +73,11 @@ std::string JoinStats::Describe() const {
     }
     if (!memory_components.empty()) os << ")";
   }
+  for (const OperatorStats& op : operators) {
+    os << " | " << op.name << " " << op.rows_in << "->" << op.rows_out;
+    if (op.pages_read > 0) os << " pr=" << op.pages_read;
+    if (op.spill_pages > 0) os << " spill=" << op.spill_pages;
+  }
   return os.str();
 }
 
@@ -79,6 +107,9 @@ std::vector<std::pair<std::string, std::string>> JoinStats::ToKeyValues()
     os << v;
     return os.str();
   };
+  if (algorithm != JoinAlgorithm::kAuto) {
+    kv.emplace_back("algorithm", ToString(algorithm));
+  }
   kv.emplace_back("output_count", std::to_string(output_count));
   kv.emplace_back("candidate_count", std::to_string(candidate_count));
   kv.emplace_back("pages_read", std::to_string(disk.pages_read));
@@ -115,6 +146,22 @@ std::vector<std::pair<std::string, std::string>> JoinStats::ToKeyValues()
   }
   if (peak_memory_bytes > 0) {
     kv.emplace_back("peak_memory_bytes", std::to_string(peak_memory_bytes));
+  }
+  for (size_t i = 0; i < operators.size(); ++i) {
+    const std::string prefix = "op." + std::to_string(i) + ".";
+    kv.emplace_back(prefix + "name", operators[i].name);
+    kv.emplace_back(prefix + "rows_in", std::to_string(operators[i].rows_in));
+    kv.emplace_back(prefix + "rows_out", std::to_string(operators[i].rows_out));
+    kv.emplace_back(prefix + "pages_read",
+                    std::to_string(operators[i].pages_read));
+    kv.emplace_back(prefix + "spill_pages",
+                    std::to_string(operators[i].spill_pages));
+  }
+  for (const MemoryComponentStats& c : memory_components) {
+    kv.emplace_back("memory." + c.component + ".granted",
+                    std::to_string(c.granted_high_water));
+    kv.emplace_back("memory." + c.component + ".used",
+                    std::to_string(c.used_high_water));
   }
   return kv;
 }

@@ -150,14 +150,40 @@ inline SortConfig SortConfigOf(const JoinOptions& options) {
   return config;
 }
 
-/// Everything measured about one join execution.
+/// Which algorithm executes a pairwise join's filter step.
+enum class JoinAlgorithm {
+  kAuto,  ///< Let the planner decide from the cost model.
+  kSSSJ,
+  kPBSM,
+  kST,
+  kPQ,
+};
+
+const char* ToString(JoinAlgorithm algo);
+
+/// Per-operator counters of a pipeline query, collected into
+/// JoinStats::operators.
+struct OperatorStats {
+  std::string name;
+  uint64_t rows_in = 0;
+  uint64_t rows_out = 0;
+  /// Pages this operator itself fetched (resolver lookups, index window
+  /// descents) — the whole pipeline's I/O lands in JoinStats::disk.
+  uint64_t pages_read = 0;
+  /// Scratch pages the operator spilled under memory pressure.
+  uint64_t spill_pages = 0;
+};
+
+/// Everything measured about one query execution: a pairwise join, a
+/// k-way join or an operator pipeline.
 ///
 /// I/O counters are deltas of the experiment's DiskModel (plus, for
 /// parallel runs, the summed per-worker shards), so they cover exactly
-/// the algorithm's own work. CPU is host CPU time — the driving thread
+/// the query's own work. CPU is host CPU time — the driving thread
 /// plus any pool workers; the MachineModel's slowdown converts it to
 /// modeled 1999-hardware seconds.
 struct JoinStats {
+  /// Result pairs, k-tuples, or the rows a pipeline delivered.
   uint64_t output_count = 0;
   double host_cpu_seconds = 0.0;
   DiskStats disk;
@@ -167,7 +193,9 @@ struct JoinStats {
   /// ST buffer-pool behaviour.
   uint64_t pool_requests = 0;
   uint64_t pool_hits = 0;
-  /// Maxima of the in-memory data structures (Table 3).
+  /// Maxima of the in-memory data structures (Table 3). For a k-way join
+  /// max_queue_bytes is the chain's sampled peak over its sources
+  /// (sweep structures, lazy pair tables, traversal queues).
   size_t max_sweep_bytes = 0;
   size_t max_queue_bytes = 0;
   /// PBSM partitioning behaviour (ablation: tile-count sensitivity; the
@@ -210,6 +238,12 @@ struct JoinStats {
   /// merge fan-in the planner chose and the merge passes it took.
   uint32_t sort_merge_fan_in = 0;
   uint32_t sort_merge_passes = 0;
+  /// The filter algorithm that ran; kAuto when no pairwise filter ran
+  /// (scan pipelines, the k-way chain, direct algorithm calls).
+  JoinAlgorithm algorithm = JoinAlgorithm::kAuto;
+  /// Per-operator counters of a pipeline query, source first (empty for
+  /// plain joins).
+  std::vector<OperatorStats> operators;
 
   /// Folds a sorter's stats into the join-wide maxima.
   void FoldSortStats(const SortStats& s) {
@@ -247,14 +281,16 @@ struct JoinStats {
   double MeasuredIoWallSeconds() const { return disk.io_wall_seconds; }
 
   /// One human-readable line of the machine-independent counters (result
-  /// and candidate counts, pages, peak structure sizes).
+  /// and candidate counts, pages, peak structure sizes, operators).
   std::string Describe() const;
   /// Describe() plus the modeled times under machine `m` (observed
   /// seconds with the I/O and scaled-CPU split) and, when real bytes
   /// moved, the measured I/O wall next to the modeled figure.
   std::string Describe(const MachineModel& m) const;
   /// Structured form for logs and benchmark harnesses, same convention
-  /// as PlanDecision::ToKeyValues().
+  /// as PlanDecision::ToKeyValues(). Conditional groups: "algorithm",
+  /// one "op.<i>.*" set per operator and "memory.<c>.granted|used" per
+  /// memory component, when there are any.
   std::vector<std::pair<std::string, std::string>> ToKeyValues() const;
 };
 

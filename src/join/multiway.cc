@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <ostream>
-#include <sstream>
 #include <string>
 
 #include "join/strip_map.h"
@@ -13,66 +11,6 @@
 #include "util/timer.h"
 
 namespace sj {
-
-std::string MultiwayStats::Describe() const {
-  std::ostringstream os;
-  os << output_count << " result tuples";
-  if (candidate_count != output_count) {
-    os << " (" << candidate_count << " candidates before refinement, "
-       << refine_pages_read << " feature pages fetched)";
-  }
-  os << "; " << disk.pages_read << " pages read, " << disk.pages_written
-     << " written; peak in-memory state "
-     << (max_bytes + 1023) / 1024 << " KB";
-  if (peak_memory_bytes > 0) {
-    os << "; peak mem " << (peak_memory_bytes + 1023) / 1024 << " KB granted";
-  }
-  return os.str();
-}
-
-std::string MultiwayStats::Describe(const MachineModel& m) const {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(2);
-  os << Describe() << "; modeled "
-     << (disk.io_seconds + host_cpu_seconds * m.cpu_slowdown) << " s ("
-     << disk.io_seconds << " s I/O)";
-  if (disk.io_wall_seconds > 0.0) {
-    os.precision(4);
-    os << "; measured " << disk.io_wall_seconds << " s I/O wall";
-  }
-  return os.str();
-}
-
-std::vector<std::pair<std::string, std::string>> MultiwayStats::ToKeyValues()
-    const {
-  std::vector<std::pair<std::string, std::string>> kv;
-  auto num = [](double v) {
-    std::ostringstream os;
-    os.precision(6);
-    os << v;
-    return os.str();
-  };
-  kv.emplace_back("output_count", std::to_string(output_count));
-  kv.emplace_back("candidate_count", std::to_string(candidate_count));
-  kv.emplace_back("pages_read", std::to_string(disk.pages_read));
-  kv.emplace_back("pages_written", std::to_string(disk.pages_written));
-  kv.emplace_back("io_seconds", num(disk.io_seconds));
-  kv.emplace_back("io_wall_seconds", num(disk.io_wall_seconds));
-  kv.emplace_back("host_cpu_seconds", num(host_cpu_seconds));
-  kv.emplace_back("max_bytes", std::to_string(max_bytes));
-  if (refine_pages_read > 0) {
-    kv.emplace_back("refine_pages_read", std::to_string(refine_pages_read));
-  }
-  if (peak_memory_bytes > 0) {
-    kv.emplace_back("peak_memory_bytes", std::to_string(peak_memory_bytes));
-  }
-  return kv;
-}
-
-std::ostream& operator<<(std::ostream& os, const MultiwayStats& stats) {
-  return os << stats.Describe();
-}
 
 namespace {
 
@@ -142,19 +80,15 @@ class PairSourceImpl final : public PairSourceBase {
   std::vector<IdPair> pairs_;
 };
 
-struct ChainRunStats {
-  uint64_t output_count = 0;
-  size_t max_bytes = 0;
-};
-
 /// The left-deep chain shared by the serial and per-strip parallel paths:
 /// ((in0 x in1) x in2) x ...; all but the last stage are lazy pair
 /// sources. `accept(ra, rb)` filters final results before expansion (the
 /// parallel path uses it for the strip reference-point test); `ra` is the
 /// running intersection of inputs 0..k-2, so max(ra.xlo, rb.xlo) is the
-/// left edge of the full k-way intersection.
+/// left edge of the full k-way intersection. Returns the output count and
+/// the chain's sampled peak state (max_queue_bytes).
 template <typename Accept>
-ChainRunStats RunMultiwayChain(const std::vector<SortedRectSource*>& inputs,
+JoinStats RunMultiwayChain(const std::vector<SortedRectSource*>& inputs,
                                const RectF& extent, const JoinOptions& options,
                                TupleSink* sink, Accept&& accept) {
   std::vector<std::unique_ptr<PairSourceBase>> chain;
@@ -178,7 +112,7 @@ ChainRunStats RunMultiwayChain(const std::vector<SortedRectSource*>& inputs,
     tuple.push_back(p.b);
   };
 
-  ChainRunStats stats;
+  JoinStats stats;
   auto emit = [&](const RectF& ra, const RectF& rb) {
     if (!accept(ra, rb)) return;
     tuple.clear();
@@ -192,8 +126,8 @@ ChainRunStats RunMultiwayChain(const std::vector<SortedRectSource*>& inputs,
     std::optional<RectF> Next() { return s->Next(); }
   } sa{left}, sb{right};
   auto probe = [&]() {
-    stats.max_bytes =
-        std::max(stats.max_bytes, left->MemoryBytes() + right->MemoryBytes());
+    stats.max_queue_bytes = std::max(
+        stats.max_queue_bytes, left->MemoryBytes() + right->MemoryBytes());
   };
   SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips, sa,
                     sb, emit, probe);
@@ -214,7 +148,7 @@ std::unique_ptr<PairSourceBase> MakePairSource(SortedRectSource* a,
   return std::make_unique<PairSourceImpl<ForwardSweep>>(a, b, extent, strips);
 }
 
-Result<MultiwayStats> MultiwayJoinSources(
+Result<JoinStats> MultiwayJoinSources(
     const std::vector<SortedRectSource*>& inputs, const RectF& extent,
     DiskModel* disk, const JoinOptions& options, TupleSink* sink) {
   if (inputs.size() < 2) {
@@ -222,23 +156,20 @@ Result<MultiwayStats> MultiwayJoinSources(
   }
   JoinMeasurement measurement(disk);
 
-  const ChainRunStats run = RunMultiwayChain(
+  const JoinStats run = RunMultiwayChain(
       inputs, extent, options, sink,
       [](const RectF&, const RectF&) { return true; });
 
-  MultiwayStats stats;
-  const JoinStats base = measurement.Finish();
-  stats.host_cpu_seconds = base.host_cpu_seconds;
-  stats.disk = base.disk;
+  JoinStats stats = measurement.Finish();
   stats.output_count = run.output_count;
-  stats.max_bytes = run.max_bytes;
+  stats.max_queue_bytes = run.max_queue_bytes;
   return stats;
 }
 
-Result<MultiwayStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
-                                          const RectF& extent, DiskModel* disk,
-                                          const JoinOptions& options,
-                                          TupleSink* sink) {
+Result<JoinStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
+                                      const RectF& extent, DiskModel* disk,
+                                      const JoinOptions& options,
+                                      TupleSink* sink) {
   if (inputs.size() < 2) {
     return Status::InvalidArgument("multiway join needs at least 2 inputs");
   }
@@ -310,9 +241,7 @@ Result<MultiwayStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
     std::unique_ptr<DiskModel> disk;
     StripFiles files;
     CollectingTupleSink sink;
-    uint64_t output = 0;
-    size_t max_bytes = 0;
-    double cpu_seconds = 0;
+    JoinStats run;  // Output count, peak state, and CPU of the strip.
   };
   // Inline runs (same condition as ParallelFor's) stream tuples straight
   // to the caller's sink in strip order; only pooled runs buffer.
@@ -346,19 +275,17 @@ Result<MultiwayStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
               std::make_unique<SortedStreamSource>(t.files.ranges[in]));
           source_ptrs.push_back(sources.back().get());
         }
-        const ChainRunStats run = RunMultiwayChain(
+        t.run = RunMultiwayChain(
             source_ptrs, extent, options, out,
             [&](const RectF& ra, const RectF& rb) {
               return map.StripOf(std::max(ra.xlo, rb.xlo)) == s;
             });
-        t.output = run.output_count;
-        t.max_bytes = run.max_bytes;
-        t.cpu_seconds = cpu.Elapsed();
+        t.run.host_cpu_seconds = cpu.Elapsed();
         return Status::OK();
       }));
 
   uint64_t output = 0;
-  size_t max_bytes = 0;
+  size_t max_queue_bytes = 0;
   double worker_cpu = 0;
   DiskStats shard_disk;
   for (const StripTask& t : tasks) {
@@ -367,20 +294,17 @@ Result<MultiwayStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
         sink->Emit(tuple);
       }
     }
-    output += t.output;
-    max_bytes = std::max(max_bytes, t.max_bytes);
-    worker_cpu += t.cpu_seconds;
+    output += t.run.output_count;
+    max_queue_bytes = std::max(max_queue_bytes, t.run.max_queue_bytes);
+    worker_cpu += t.run.host_cpu_seconds;
     shard_disk += t.disk->stats();
   }
 
-  MultiwayStats stats;
-  const JoinStats base = measurement.Finish();
-  stats.host_cpu_seconds = base.host_cpu_seconds;
+  JoinStats stats = measurement.Finish();
   if (pooled) stats.host_cpu_seconds += worker_cpu;
-  stats.disk = base.disk;
   stats.disk += shard_disk;
   stats.output_count = output;
-  stats.max_bytes = max_bytes;
+  stats.max_queue_bytes = max_queue_bytes;
   return stats;
 }
 

@@ -1,10 +1,7 @@
 #ifndef USJ_JOIN_MULTIWAY_H_
 #define USJ_JOIN_MULTIWAY_H_
 
-#include <iosfwd>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "io/disk_model.h"
@@ -61,39 +58,12 @@ std::unique_ptr<PairSourceBase> MakePairSource(SortedRectSource* a,
                                                const RectF& extent,
                                                uint32_t strips);
 
-/// Measurements of a k-way join.
-struct MultiwayStats {
-  uint64_t output_count = 0;
-  double host_cpu_seconds = 0.0;
-  DiskStats disk;
-  /// Max bytes across sources (incl. intermediate pair tables).
-  size_t max_bytes = 0;
-  /// Filter-and-refine split (see JoinStats): MBR tuples before
-  /// refinement, and feature-store pages the refinement step fetched.
-  uint64_t candidate_count = 0;
-  uint64_t refine_pages_read = 0;
-  /// Memory governance (see JoinStats): the arbiter's granted peak and
-  /// per-component high-water marks for the whole k-way pipeline.
-  size_t peak_memory_bytes = 0;
-  std::vector<MemoryComponentStats> memory_components;
-
-  /// One human-readable line of the machine-independent counters.
-  std::string Describe() const;
-  /// Describe() plus the modeled time under machine `m`, and the
-  /// measured I/O wall when real bytes moved.
-  std::string Describe(const MachineModel& m) const;
-  /// Structured form, same convention as JoinStats::ToKeyValues().
-  std::vector<std::pair<std::string, std::string>> ToKeyValues() const;
-};
-
-/// Streams Describe() — the machine-independent form.
-std::ostream& operator<<(std::ostream& os, const MultiwayStats& stats);
-
 /// k-way intersection join (k >= 2): reports every k-tuple of objects, one
 /// per input, whose MBRs have a common intersection point. Evaluated as a
 /// left-deep chain of lazy PQ sweeps; no intermediate result is
-/// materialized on disk.
-Result<MultiwayStats> MultiwayJoinSources(
+/// materialized on disk. The stats carry the output count, the measured
+/// I/O and CPU, and the chain's peak in-memory state as max_queue_bytes.
+Result<JoinStats> MultiwayJoinSources(
     const std::vector<SortedRectSource*>& inputs, const RectF& extent,
     DiskModel* disk, const JoinOptions& options, TupleSink* sink);
 
@@ -104,10 +74,10 @@ Result<MultiwayStats> MultiwayJoinSources(
 /// tuple only in the strip owning the left edge of its k-way
 /// intersection. Tuples arrive at `sink` in strip order; results and
 /// modeled I/O stats are identical for every num_threads.
-Result<MultiwayStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
-                                          const RectF& extent, DiskModel* disk,
-                                          const JoinOptions& options,
-                                          TupleSink* sink);
+Result<JoinStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
+                                      const RectF& extent, DiskModel* disk,
+                                      const JoinOptions& options,
+                                      TupleSink* sink);
 
 }  // namespace sj
 

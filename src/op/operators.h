@@ -32,18 +32,6 @@ struct PipelineContext {
   PrefetchContext prefetch;
 };
 
-/// Per-operator counters, collected into PipelineStats::operators.
-struct OperatorStats {
-  std::string name;
-  uint64_t rows_in = 0;
-  uint64_t rows_out = 0;
-  /// Pages this operator itself fetched (resolver lookups, index window
-  /// descents) — the whole pipeline's I/O lands in PipelineStats::disk.
-  uint64_t pages_read = 0;
-  /// Scratch pages the operator spilled under memory pressure.
-  uint64_t spill_pages = 0;
-};
-
 /// A unary push operator: consumes rows via Emit, forwards its output to
 /// the downstream sink. Lifecycle is Open -> Emit... -> Finish, mirroring
 /// the StreamWriter contract: errors hit mid-stream are sticky and

@@ -1,6 +1,7 @@
 #include "service/spatial_service.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "util/logging.h"
@@ -31,25 +32,25 @@ using service_internal::ServiceGate;
 /// through the gate (see ServiceGate). Lock order: gate mu before
 /// service mu_ before ticket mu, never the reverse.
 struct SubmittedQuery::Ticket {
-  Ticket(std::shared_ptr<ServiceGate> gate_in, const JoinQuery& query_in,
-         JoinSink* sink_in)
-      : gate(std::move(gate_in)), query(query_in), sink(sink_in) {}
-  Ticket(std::shared_ptr<ServiceGate> gate_in,
-         const PipelineQuery& pipeline_in, RowSink* sink_in)
-      : gate(std::move(gate_in)), pipeline(pipeline_in), row_sink(sink_in) {}
+  /// Executes the submitted query with its admitted options and carved
+  /// arbiter. Holds a private copy of the query; referenced inputs must
+  /// outlive the submission.
+  using RunFn = std::function<sj::Result<JoinStats>(
+      const JoinOptions&, std::shared_ptr<MemoryArbiter>)>;
+
+  Ticket(std::shared_ptr<ServiceGate> gate_in, const JoinOptions& options_in,
+         RunFn run_in)
+      : gate(std::move(gate_in)),
+        options(options_in),
+        run(std::move(run_in)) {}
 
   std::shared_ptr<ServiceGate> gate;
   uint64_t id = 0;
-  /// Exactly one of these is set — the ticket's kind. Private copies;
-  /// referenced inputs must outlive the submission.
-  std::optional<JoinQuery> query;
-  std::optional<PipelineQuery> pipeline;
-  JoinSink* sink = nullptr;
-  RowSink* row_sink = nullptr;
   // Immutable once the ticket is published (set in Submit before the
-  // ticket reaches the queue or a handle).
-  size_t requested_bytes = 0;
-  bool strict = false;
+  // ticket reaches the queue or a handle). `options` is the query's own:
+  // its memory_bytes is the requested budget.
+  JoinOptions options;
+  RunFn run;
   bool allow_degraded = true;
   std::chrono::steady_clock::time_point deadline;
 
@@ -67,38 +68,18 @@ struct SubmittedQuery::Ticket {
   uint32_t pool_client = 0;
   std::shared_ptr<MemoryArbiter> arbiter;  // Carved child; reset when done.
   std::optional<sj::Result<JoinStats>> result;
-  std::optional<sj::Result<PipelineStats>> pipeline_result;
-
-  bool is_pipeline() const { return pipeline.has_value(); }
 
   /// Caller must hold `mu`.
-  void DoneLocked() {
+  void FinishLocked(sj::Result<JoinStats> r) {
     // Single-finisher invariant: Cancel/expiry only resolve kQueued
     // tickets, Execute only finishes the kRunning ticket it admitted —
     // so the result is emplaced exactly once and references returned by
     // Result() stay valid.
     SJ_CHECK(state != State::kDone) << "double finish on query ticket";
+    result.emplace(std::move(r));
     state = State::kDone;
     arbiter.reset();
     cv.notify_all();
-  }
-  void FinishLocked(sj::Result<JoinStats> r) {
-    result.emplace(std::move(r));
-    DoneLocked();
-  }
-  void FinishPipelineLocked(sj::Result<PipelineStats> r) {
-    pipeline_result.emplace(std::move(r));
-    DoneLocked();
-  }
-  /// The kind-agnostic error path (rejection, cancel, deadline,
-  /// shutdown): routes the Status to whichever result slot this ticket
-  /// reports through.
-  void FinishErrorLocked(Status s) {
-    if (is_pipeline()) {
-      FinishPipelineLocked(std::move(s));
-    } else {
-      FinishLocked(std::move(s));
-    }
   }
 };
 
@@ -121,28 +102,27 @@ void SubmittedQuery::Wait() const {
                    [this] { return ticket_->state == Ticket::State::kDone; });
 }
 
-/// The handle-side cancel shared by SubmittedQuery and SubmittedPipeline:
-/// resolve a still-queued ticket with Cancelled, then notify the
+/// Resolves a still-queued ticket with Cancelled, then notifies the
 /// scheduler through the gate so the queue slot frees immediately and, if
 /// this was the head, the queries behind it get an admission pass now
 /// rather than at the next submit/completion. The gate pins the service:
 /// once its destructor nulls the pointer, the destructor's drain has
 /// already folded this ticket's cancel into the counters.
-bool SpatialService::CancelTicket(const std::shared_ptr<Ticket>& ticket) {
-  if (ticket == nullptr) return false;
+bool SubmittedQuery::Cancel() {
+  if (ticket_ == nullptr) return false;
   {
-    std::lock_guard<std::mutex> lock(ticket->mu);
-    if (ticket->state != Ticket::State::kQueued) return false;
-    ticket->cancelled_by_handle = true;
-    ticket->FinishErrorLocked(Status::Cancelled(
-        "query #" + std::to_string(ticket->id) +
+    std::lock_guard<std::mutex> lock(ticket_->mu);
+    if (ticket_->state != Ticket::State::kQueued) return false;
+    ticket_->cancelled_by_handle = true;
+    ticket_->FinishLocked(Status::Cancelled(
+        "query #" + std::to_string(ticket_->id) +
         " cancelled while queued for admission"));
   }
   std::vector<std::shared_ptr<Ticket>> to_dispatch;
   SpatialService* service = nullptr;
   {
-    std::lock_guard<std::mutex> gate_lock(ticket->gate->mu);
-    service = ticket->gate->service;
+    std::lock_guard<std::mutex> gate_lock(ticket_->gate->mu);
+    service = ticket_->gate->service;
     if (service != nullptr) to_dispatch = service->ReapAfterHandleCancel();
   }
   // Safe outside the gate: each dispatched ticket is already counted in
@@ -150,8 +130,6 @@ bool SpatialService::CancelTicket(const std::shared_ptr<Ticket>& ticket) {
   if (!to_dispatch.empty()) service->Dispatch(std::move(to_dispatch));
   return true;
 }
-
-bool SubmittedQuery::Cancel() { return SpatialService::CancelTicket(ticket_); }
 
 const sj::Result<JoinStats>& SubmittedQuery::Result() const {
   SJ_CHECK(ticket_ != nullptr) << "Result() on a default SubmittedQuery";
@@ -173,46 +151,6 @@ bool SubmittedQuery::degraded() const {
 }
 
 uint64_t SubmittedQuery::id() const {
-  return ticket_ == nullptr ? 0 : ticket_->id;
-}
-
-bool SubmittedPipeline::done() const {
-  if (ticket_ == nullptr) return true;
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->state == Ticket::State::kDone;
-}
-
-void SubmittedPipeline::Wait() const {
-  if (ticket_ == nullptr) return;
-  std::unique_lock<std::mutex> lock(ticket_->mu);
-  ticket_->cv.wait(lock,
-                   [this] { return ticket_->state == Ticket::State::kDone; });
-}
-
-bool SubmittedPipeline::Cancel() {
-  return SpatialService::CancelTicket(ticket_);
-}
-
-const sj::Result<PipelineStats>& SubmittedPipeline::Result() const {
-  SJ_CHECK(ticket_ != nullptr) << "Result() on a default SubmittedPipeline";
-  Wait();
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return *ticket_->pipeline_result;
-}
-
-size_t SubmittedPipeline::granted_bytes() const {
-  if (ticket_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->granted_bytes;
-}
-
-bool SubmittedPipeline::degraded() const {
-  if (ticket_ == nullptr) return false;
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->degraded;
-}
-
-uint64_t SubmittedPipeline::id() const {
   return ticket_ == nullptr ? 0 : ticket_->id;
 }
 
@@ -243,7 +181,7 @@ SpatialService::~SpatialService() {
     for (const std::shared_ptr<Ticket>& t : queue_) {
       std::lock_guard<std::mutex> tl(t->mu);
       if (t->state == Ticket::State::kQueued) {
-        t->FinishErrorLocked(Status::Cancelled(
+        t->FinishLocked(Status::Cancelled(
             "query #" + std::to_string(t->id) +
             " cancelled: the service shut down before admission"));
         counters_.cancelled++;
@@ -268,6 +206,25 @@ SpatialService::~SpatialService() {
     gate_->service = nullptr;
   }
   worker_pool_.reset();  // Joins workers before the shared pool dies.
+}
+
+template <typename Query, typename Sink>
+SubmittedQuery SpatialService::SubmitQuery(const Query& query, Sink* sink,
+                                           const SubmitOptions& submit) {
+  // The closure runs a private copy of the query whose arbiter reference
+  // dies with the call, so FinishLocked's arbiter reset stays the last
+  // reference to the carved budget.
+  auto ticket = std::make_shared<Ticket>(
+      gate_, query.options(),
+      [query, sink](const JoinOptions& options,
+                    std::shared_ptr<MemoryArbiter> arbiter) {
+        Query admitted = query;
+        admitted.mutable_options() = options;
+        admitted.UseArbiter(std::move(arbiter));
+        return admitted.RunDirect(sink);
+      });
+  SubmitTicket(ticket, submit);
+  return SubmittedQuery(std::move(ticket));
 }
 
 void SpatialService::SubmitTicket(const std::shared_ptr<Ticket>& ticket,
@@ -297,24 +254,25 @@ void SpatialService::SubmitTicket(const std::shared_ptr<Ticket>& ticket,
     ReapLocked(Clock::now());
     {
       std::lock_guard<std::mutex> tl(ticket->mu);
-      if (ticket->requested_bytes < kMinMemoryBytes) {
+      const size_t requested = ticket->options.memory_bytes;
+      if (requested < kMinMemoryBytes) {
         // Misuse, not contention: same floor and code path the query layer
         // enforces (see JoinQuery::Compile).
         counters_.rejected++;
-        ticket->FinishErrorLocked(Status::FailedPrecondition(
-            "memory budget " + std::to_string(ticket->requested_bytes) +
+        ticket->FinishLocked(Status::FailedPrecondition(
+            "memory budget " + std::to_string(requested) +
             " B is below the supported floor of " +
             std::to_string(kMinMemoryBytes) +
             " B (kMinMemoryBytes, 64 KiB); raise the query's MemoryBytes / "
             "JoinOptions::memory_bytes"));
         return;
       }
-      if (ticket->requested_bytes > options_.global_memory_bytes) {
+      if (requested > options_.global_memory_bytes) {
         // Unsatisfiable at any queue position: no amount of waiting frees
         // more than the whole global budget.
         counters_.rejected++;
-        ticket->FinishErrorLocked(Status::ResourceExhausted(
-            "query asks for " + std::to_string(ticket->requested_bytes) +
+        ticket->FinishLocked(Status::ResourceExhausted(
+            "query asks for " + std::to_string(requested) +
             " B but the service's whole global budget is " +
             std::to_string(options_.global_memory_bytes) +
             " B; lower the query's MemoryBytes or grow "
@@ -323,13 +281,13 @@ void SpatialService::SubmitTicket(const std::shared_ptr<Ticket>& ticket,
       }
       if (shutting_down_) {
         counters_.rejected++;
-        ticket->FinishErrorLocked(
+        ticket->FinishLocked(
             Status::FailedPrecondition("service is shutting down"));
         return;
       }
       if (queue_.size() >= options_.admission_queue_limit) {
         counters_.rejected++;
-        ticket->FinishErrorLocked(Status::ResourceExhausted(
+        ticket->FinishLocked(Status::ResourceExhausted(
             "admission queue is full (" +
             std::to_string(options_.admission_queue_limit) +
             " queries already waiting)"));
@@ -349,11 +307,7 @@ void SpatialService::SubmitTicket(const std::shared_ptr<Ticket>& ticket,
 
 SubmittedQuery SpatialService::Submit(const JoinQuery& query, JoinSink* sink,
                                       const SubmitOptions& submit) {
-  auto ticket = std::make_shared<Ticket>(gate_, query, sink);
-  ticket->requested_bytes = query.options().memory_bytes;
-  ticket->strict = query.options().strict_memory_accounting;
-  SubmitTicket(ticket, submit);
-  return SubmittedQuery(std::move(ticket));
+  return SubmitQuery(query, sink, submit);
 }
 
 sj::Result<JoinStats> SpatialService::Run(const JoinQuery& query,
@@ -362,19 +316,20 @@ sj::Result<JoinStats> SpatialService::Run(const JoinQuery& query,
   return Submit(query, sink, submit).Result();
 }
 
-SubmittedPipeline SpatialService::Submit(const PipelineQuery& pipeline,
-                                         RowSink* sink,
-                                         const SubmitOptions& submit) {
-  auto ticket = std::make_shared<Ticket>(gate_, pipeline, sink);
-  ticket->requested_bytes = pipeline.options().memory_bytes;
-  ticket->strict = pipeline.options().strict_memory_accounting;
-  SubmitTicket(ticket, submit);
-  return SubmittedPipeline(std::move(ticket));
+SubmittedQuery SpatialService::Submit(const JoinQuery& query, TupleSink* sink,
+                                      const SubmitOptions& submit) {
+  return SubmitQuery(query, sink, submit);
 }
 
-sj::Result<PipelineStats> SpatialService::Run(const PipelineQuery& pipeline,
-                                              RowSink* sink,
-                                              const SubmitOptions& submit) {
+SubmittedQuery SpatialService::Submit(const PipelineQuery& pipeline,
+                                      RowSink* sink,
+                                      const SubmitOptions& submit) {
+  return SubmitQuery(pipeline, sink, submit);
+}
+
+sj::Result<JoinStats> SpatialService::Run(const PipelineQuery& pipeline,
+                                          RowSink* sink,
+                                          const SubmitOptions& submit) {
   return Submit(pipeline, sink, submit).Result();
 }
 
@@ -390,7 +345,7 @@ void SpatialService::ReapLocked(Clock::time_point now) {
     }
     if (now >= t->deadline) {
       counters_.deadline_expired++;
-      t->FinishErrorLocked(Status::DeadlineExceeded(
+      t->FinishLocked(Status::DeadlineExceeded(
           "query #" + std::to_string(t->id) +
           " expired after waiting for admission; the global memory "
           "budget stayed occupied past the queue deadline"));
@@ -423,13 +378,14 @@ std::vector<std::shared_ptr<Ticket>> SpatialService::AdmitLocked() {
 
 SpatialService::AdmitOutcome SpatialService::TryAdmitOneLocked(
     const std::shared_ptr<Ticket>& t) {
-  // requested_bytes / allow_degraded / strict are immutable once the
-  // ticket is published, so reading them without the ticket lock is fine.
+  // options / allow_degraded are immutable once the ticket is
+  // published, so reading them without the ticket lock is fine.
+  const size_t requested = t->options.memory_bytes;
   const size_t available = global_arbiter_.available();
   size_t grant = 0;
   bool degraded = false;
-  if (available >= t->requested_bytes) {
-    grant = t->requested_bytes;
+  if (available >= requested) {
+    grant = requested;
   } else if (t->allow_degraded) {
     // Admit with what is free instead of queueing, if that is at least
     // the documented degradation floor (executors spill more under the
@@ -437,14 +393,15 @@ SpatialService::AdmitOutcome SpatialService::TryAdmitOneLocked(
     const size_t floor =
         std::max(options_.degraded_min_bytes, kMinMemoryBytes);
     if (available >= floor) {
-      grant = std::min(t->requested_bytes, available);
+      grant = std::min(requested, available);
       degraded = true;
     }
   }
   if (grant == 0) return AdmitOutcome::kNoBudget;
 
   auto child = global_arbiter_.CarveChild("query." + std::to_string(t->id),
-                                          grant, t->strict);
+                                          grant,
+                                          t->options.strict_memory_accounting);
   if (!child.ok()) return AdmitOutcome::kNoBudget;
   {
     std::lock_guard<std::mutex> tl(t->mu);
@@ -535,47 +492,29 @@ void SpatialService::Dispatch(
 
 void SpatialService::Execute(const std::shared_ptr<Ticket>& ticket) {
   // The query runs with its options rewritten to the admission outcome:
-  // granted budget, the carved child arbiter, and the shared pool(s). The
-  // copy lives inside the lambda so its reference to the child arbiter is
-  // gone before completion bookkeeping — FinishLocked's arbiter reset must
-  // be the last reference, or the carved budget would still look occupied
-  // when AdmitLocked below re-runs admission.
-  auto rewrite = [&](auto& query) {
-    query.MemoryBytes(ticket->granted_bytes);
-    query.UseArbiter(ticket->arbiter);
-    JoinOptions& o = query.mutable_options();
-    if (worker_pool_ != nullptr) o.worker_pool = worker_pool_.get();
-    if (buffer_pool_ != nullptr) {
-      o.shared_buffer_pool = buffer_pool_.get();
-      o.buffer_pool_client = ticket->pool_client;
-    }
-    // The service's storage backend is the default; a query that chose
-    // its own keeps it.
-    if (o.storage == nullptr) o.storage = options_.storage;
-  };
-  std::optional<sj::Result<JoinStats>> join_result;
-  std::optional<sj::Result<PipelineStats>> pipeline_result;
-  if (ticket->is_pipeline()) {
-    PipelineQuery query = *ticket->pipeline;
-    rewrite(query);
-    pipeline_result.emplace(query.RunDirect(ticket->row_sink));
-  } else {
-    JoinQuery query = *ticket->query;
-    rewrite(query);
-    join_result.emplace(query.RunDirect(ticket->sink));
+  // granted budget and the shared pool(s), next to the carved child
+  // arbiter. The run closure's copies of the arbiter pointer die with the
+  // call, so FinishLocked's arbiter reset below is the last reference —
+  // otherwise the carved budget would still look occupied when
+  // AdmitLocked re-runs admission.
+  JoinOptions o = ticket->options;
+  o.memory_bytes = ticket->granted_bytes;
+  if (worker_pool_ != nullptr) o.worker_pool = worker_pool_.get();
+  if (buffer_pool_ != nullptr) {
+    o.shared_buffer_pool = buffer_pool_.get();
+    o.buffer_pool_client = ticket->pool_client;
   }
+  // The service's storage backend is the default; a query that chose its
+  // own keeps it.
+  if (o.storage == nullptr) o.storage = options_.storage;
+  sj::Result<JoinStats> result = ticket->run(o, ticket->arbiter);
 
   std::vector<std::shared_ptr<Ticket>> to_dispatch;
   {
     std::lock_guard<std::mutex> lock(mu_);
     {
       std::lock_guard<std::mutex> tl(ticket->mu);
-      // Frees the carved budget.
-      if (ticket->is_pipeline()) {
-        ticket->FinishPipelineLocked(std::move(*pipeline_result));
-      } else {
-        ticket->FinishLocked(std::move(*join_result));
-      }
+      ticket->FinishLocked(std::move(result));  // Frees the carved budget.
     }
     running_--;
     idle_cv_.notify_all();

@@ -97,9 +97,10 @@ struct ServiceStats {
 
 class SpatialService;
 
-/// A future-like handle to one submitted query. Copyable (all copies
-/// refer to the same submission); safe to outlive the service (the
-/// service's destructor resolves every outstanding submission first).
+/// A future-like handle to one submitted query — pairwise join, k-way
+/// join or pipeline. Copyable (all copies refer to the same submission);
+/// safe to outlive the service (the service's destructor resolves every
+/// outstanding submission first).
 class SubmittedQuery {
  public:
   struct Ticket;  // Shared submission state; defined in the service's .cc.
@@ -137,32 +138,10 @@ class SubmittedQuery {
   std::shared_ptr<Ticket> ticket_;
 };
 
-/// A future-like handle to one submitted pipeline — the PipelineQuery
-/// counterpart of SubmittedQuery, sharing the same ticket machinery
-/// (admission, degraded grants, cancel, deadlines) with a
-/// PipelineStats-typed outcome.
-class SubmittedPipeline {
- public:
-  SubmittedPipeline() = default;
-
-  bool done() const;
-  void Wait() const;
-  /// Best-effort cancel of a still-queued pipeline (see
-  /// SubmittedQuery::Cancel).
-  bool Cancel();
-  /// Waits, then returns PipelineStats or the admission/execution error.
-  const sj::Result<PipelineStats>& Result() const;
-
-  size_t granted_bytes() const;
-  bool degraded() const;
-  uint64_t id() const;
-
- private:
-  friend class SpatialService;
-  explicit SubmittedPipeline(std::shared_ptr<SubmittedQuery::Ticket> ticket)
-      : ticket_(std::move(ticket)) {}
-  std::shared_ptr<SubmittedQuery::Ticket> ticket_;
-};
+/// Kept so that code written against the former pipeline-only handle
+/// (perfbench/ among it) still compiles: pipelines, pairwise and k-way
+/// joins all submit through one ticket kind.
+using SubmittedPipeline = SubmittedQuery;
 
 /// The process-wide spatial-join service: one global memory budget, one
 /// shared 2Q buffer pool, one morsel-style worker pool, and a FIFO
@@ -181,7 +160,8 @@ class SubmittedPipeline {
 /// Execution: each admitted query runs as one task on the shared worker
 /// pool (inline on the submitter when worker_threads == 0) with its
 /// options rewritten to the granted budget, the shared pool/threads, and
-/// the carved arbiter — then flows through exactly the JoinQuery pipeline.
+/// the carved arbiter — then flows through exactly the JoinQuery or
+/// PipelineQuery execution body.
 /// Because a query's parallel phases submit task groups to the same pool
 /// and group waits help (run their own queued tasks), any number of
 /// queries make progress on a fixed set of threads without deadlock.
@@ -210,18 +190,23 @@ class SpatialService {
   sj::Result<JoinStats> Run(const JoinQuery& query, JoinSink* sink,
                             const SubmitOptions& submit = SubmitOptions());
 
+  /// Submits a k-way query (JoinQuery::Run(TupleSink*)); tuples stream
+  /// into `sink` on the executing thread.
+  SubmittedQuery Submit(const JoinQuery& query, TupleSink* sink,
+                        const SubmitOptions& submit = SubmitOptions());
+
   /// Submits an operator pipeline (core/pipeline_query.h). Pipelines are
   /// first-class citizens of the scheduler: the same FIFO admission over
   /// the same global budget, the same degraded grants, the same shared
   /// worker pool and buffer pool — a pipeline's join source and its
   /// operators all draw from the one carved child arbiter. Rows stream
   /// into `sink` on the executing thread.
-  SubmittedPipeline Submit(const PipelineQuery& pipeline, RowSink* sink,
-                           const SubmitOptions& submit = SubmitOptions());
+  SubmittedQuery Submit(const PipelineQuery& pipeline, RowSink* sink,
+                        const SubmitOptions& submit = SubmitOptions());
 
   /// Submit + Result in one call.
-  sj::Result<PipelineStats> Run(const PipelineQuery& pipeline, RowSink* sink,
-                                const SubmitOptions& submit = SubmitOptions());
+  sj::Result<JoinStats> Run(const PipelineQuery& pipeline, RowSink* sink,
+                            const SubmitOptions& submit = SubmitOptions());
 
   ServiceStats stats() const;
   MemoryArbiter* global_arbiter() { return &global_arbiter_; }
@@ -254,16 +239,17 @@ class SpatialService {
       const std::shared_ptr<SubmittedQuery::Ticket>& t);
   void Dispatch(std::vector<std::shared_ptr<SubmittedQuery::Ticket>> tickets);
   void Execute(const std::shared_ptr<SubmittedQuery::Ticket>& ticket);
-  /// The shared Submit body: validation, enqueue, and admission for a
-  /// fully-constructed ticket (join or pipeline — the ticket knows).
+  /// The shared Submit body: wraps `query`'s execution body (RunDirect
+  /// into `sink`) in a ticket's run closure and submits the ticket.
+  /// Defined in the .cc, its only user.
+  template <typename Query, typename Sink>
+  SubmittedQuery SubmitQuery(const Query& query, Sink* sink,
+                             const SubmitOptions& submit);
+  /// Validation, enqueue, and admission for a fully-constructed ticket.
   void SubmitTicket(const std::shared_ptr<SubmittedQuery::Ticket>& ticket,
                     const SubmitOptions& submit);
 
   friend class SubmittedQuery;
-  friend class SubmittedPipeline;
-  /// Handle-side cancel shared by both handle types (see the .cc).
-  static bool CancelTicket(
-      const std::shared_ptr<SubmittedQuery::Ticket>& ticket);
   /// Cancel()'s gate-guarded notification: reap the cancelled ticket's
   /// queue slot now and re-run admission for whatever was behind it.
   /// Returns the tickets to dispatch (already counted in running_).

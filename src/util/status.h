@@ -10,9 +10,9 @@ namespace sj {
 /// (or Result<T>) instead of throwing; this keeps the hot join paths free
 /// of exception machinery and matches common database-engine practice.
 ///
-/// Every public entry point (JoinQuery::Run/Explain, SpatialService::Submit,
-/// the legacy SpatialJoiner wrappers) reports errors through this one
-/// taxonomy — there are no bool returns or aborts outside strict mode:
+/// Every public entry point (JoinQuery::Run/Explain, PipelineQuery::Run,
+/// SpatialService::Submit) reports errors through this one taxonomy —
+/// there are no bool returns or aborts outside strict mode:
 ///
 ///   kInvalidArgument    — a malformed query description (wrong input
 ///                         count, negative epsilon, bad index).

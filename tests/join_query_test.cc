@@ -1,8 +1,8 @@
 // The JoinQuery surface itself: builder validation (refine
 // misconfiguration is a real error with an actionable message, predicate
-// rules, index bounds), the executor registry, Describe() output, and the
-// basic semantics of the distance and containment predicates on small
-// hand-checkable inputs.
+// rules, index bounds), forced-algorithm dispatch and the algorithm the
+// stats report, Describe() output, and the basic semantics of the
+// distance and containment predicates on small hand-checkable inputs.
 
 #include <gtest/gtest.h>
 
@@ -52,7 +52,7 @@ struct QueryFixture {
 
 // ---------------------------------------------------------------------------
 // Satellite: refine misconfiguration is a real error with a clear
-// message, for JoinQuery, the legacy Join wrapper, and the k-way path.
+// message, for the pairwise and the k-way JoinQuery.
 // ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------
@@ -259,22 +259,37 @@ TEST(JoinQueryErrors, AttachmentIndicesAreBoundsChecked) {
 }
 
 // ---------------------------------------------------------------------------
-// The executor registry.
+// Forced algorithms and the algorithm the stats report.
 // ---------------------------------------------------------------------------
 
-TEST(ExecutorRegistry, BuiltInAlgorithmsAreRegistered) {
+TEST(JoinQuery, EveryForcedAlgorithmRunsAndIsReported) {
+  QueryFixture f;
+  auto ta_pager = f.td.NewPager("tree.a");
+  auto tb_pager = f.td.NewPager("tree.b");
+  auto scratch = f.td.NewPager("tree.scratch");
+  auto ta = RTree::BulkLoadHilbert(ta_pager.get(), f.da.range, scratch.get(),
+                                   RTreeParams(), 1 << 22);
+  auto tb = RTree::BulkLoadHilbert(tb_pager.get(), f.db.range, scratch.get(),
+                                   RTreeParams(), 1 << 22);
+  ASSERT_TRUE(ta.ok() && tb.ok());
+  SpatialJoiner joiner(&f.td.disk, JoinOptions());
+  const auto expected = testing_util::BruteForcePairs(f.a, f.b);
   for (JoinAlgorithm algo : {JoinAlgorithm::kSSSJ, JoinAlgorithm::kPBSM,
                              JoinAlgorithm::kST, JoinAlgorithm::kPQ}) {
-    const JoinExecutor* executor = FindExecutor(algo);
-    ASSERT_NE(executor, nullptr) << ToString(algo);
-    EXPECT_EQ(executor->algorithm(), algo);
-    EXPECT_STREQ(executor->name(), ToString(algo));
+    CollectingSink sink;
+    auto stats = JoinQuery(joiner)
+                     .Input(JoinInput::FromRTree(&*ta))
+                     .Input(JoinInput::FromRTree(&*tb))
+                     .Algorithm(algo)
+                     .Run(&sink);
+    ASSERT_TRUE(stats.ok()) << ToString(algo) << ": "
+                            << stats.status().ToString();
+    EXPECT_EQ(Sorted(sink.pairs()), expected) << ToString(algo);
+    EXPECT_EQ(stats->algorithm, algo);
   }
-  EXPECT_EQ(FindExecutor(JoinAlgorithm::kAuto), nullptr)
-      << "kAuto resolves at plan time and must have no executor";
 }
 
-TEST(ExecutorRegistry, StExecutorValidatesInputKinds) {
+TEST(JoinQuery, ForcedStOnStreamInputsIsFailedPrecondition) {
   QueryFixture f;
   SpatialJoiner joiner(&f.td.disk, JoinOptions());
   CollectingSink sink;
@@ -284,7 +299,30 @@ TEST(ExecutorRegistry, StExecutorValidatesInputKinds) {
                    .Algorithm(JoinAlgorithm::kST)
                    .Run(&sink);
   ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(stats.status().ToString().find("R-tree"), std::string::npos);
+}
+
+TEST(JoinQuery, AutoRunReportsThePlannedAlgorithm) {
+  QueryFixture f;
+  SpatialJoiner joiner(&f.td.disk, JoinOptions());
+  JoinQuery query(joiner);
+  query.Input(JoinInput::FromStream(f.da)).Input(JoinInput::FromStream(f.db));
+  auto plan = query.Explain();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  CollectingSink sink;
+  auto stats = query.Run(&sink);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->algorithm, plan->algorithm);
+
+  bool saw_algorithm = false;
+  for (const auto& [key, value] : stats->ToKeyValues()) {
+    if (key == "algorithm") {
+      EXPECT_EQ(value, ToString(plan->algorithm));
+      saw_algorithm = true;
+    }
+  }
+  EXPECT_TRUE(saw_algorithm);
 }
 
 // ---------------------------------------------------------------------------
@@ -303,7 +341,8 @@ TEST(Describe, StatsAndDecisionRoundTripThroughStreams) {
   ASSERT_TRUE(stats.ok());
   std::ostringstream os;
   os << *stats;
-  EXPECT_NE(os.str().find("result pairs"), std::string::npos);
+  EXPECT_NE(os.str().find("SSSJ: "), std::string::npos);
+  EXPECT_NE(os.str().find(" results"), std::string::npos);
   EXPECT_NE(stats->Describe(f.td.disk.machine()).find("modeled"),
             std::string::npos);
 
@@ -322,7 +361,7 @@ TEST(Describe, StatsAndDecisionRoundTripThroughStreams) {
                     .Input(JoinInput::FromStream(f.db))
                     .Run(&tuples);
   ASSERT_TRUE(mstats.ok());
-  EXPECT_NE(mstats->Describe().find("result tuples"), std::string::npos);
+  EXPECT_NE(mstats->Describe().find(" results"), std::string::npos);
 }
 
 TEST(Describe, ExplainDoesNoIoEvenForDistanceQueries) {

@@ -114,7 +114,7 @@ TEST(PipelineService, ConcurrentPipelinesAndJoinsShareTheBudget) {
   constexpr int kRounds = 4;
   std::vector<CollectingRowSink> heat_sinks(kRounds), scan_sinks(kRounds);
   std::vector<CollectingSink> join_sinks(kRounds);
-  std::vector<SubmittedPipeline> heat_subs(kRounds), scan_subs(kRounds);
+  std::vector<SubmittedQuery> heat_subs(kRounds), scan_subs(kRounds);
   std::vector<SubmittedQuery> join_subs(kRounds);
 
   for (int i = 0; i < kRounds; ++i) {
@@ -189,7 +189,7 @@ TEST(PipelineService, RejectsOversizedAndUndersizedPipelines) {
 
 TEST(PipelineService, HandleOutlivesServiceSafely) {
   ServiceFixture f;
-  SubmittedPipeline handle;
+  SubmittedQuery handle;
   CollectingRowSink sink;
   {
     ServiceOptions options;

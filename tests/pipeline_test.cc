@@ -136,7 +136,7 @@ std::vector<IdPair> RowPairs(const std::vector<PipeRow>& rows) {
   return pairs;
 }
 
-const OperatorStats* FindOp(const PipelineStats& stats,
+const OperatorStats* FindOp(const JoinStats& stats,
                             const std::string& prefix) {
   for (const OperatorStats& op : stats.operators) {
     if (op.name.rfind(prefix, 0) == 0) return &op;
@@ -437,7 +437,7 @@ TEST(JoinPipeline, RowsMatchBruteForcePairs) {
   EXPECT_EQ(Sorted(RowPairs(sink.rows())), expected);
   EXPECT_EQ(stats->output_count, expected.size());
   EXPECT_GT(stats->candidate_count, 0u);
-  EXPECT_NE(stats->join_algorithm, JoinAlgorithm::kAuto);
+  EXPECT_NE(stats->algorithm, JoinAlgorithm::kAuto);
 
   // Row rects are the contact boxes of the joined MBRs.
   std::map<ObjectId, RectF> am, bm;

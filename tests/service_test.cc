@@ -563,6 +563,98 @@ TEST_F(ContendedServiceTest, ShutdownCancelsQueuedAndDrainsRunning) {
 }
 
 // ---------------------------------------------------------------------------
+// k-way queries: the same ticket, admission and cancel as pairwise ones.
+// ---------------------------------------------------------------------------
+
+/// Three relations on a private disk, so a k-way query's DiskStats are
+/// its own even while pairwise queries run on the fixture's disk.
+struct KWayData {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  DatasetRef da, db, dc;
+  std::optional<SpatialJoiner> joiner;
+
+  KWayData() {
+    const RectF region(0, 0, 60, 60);
+    da = MakeDataset(&td, UniformRects(250, region, 3.0f, 41), "ka", &keep);
+    db = MakeDataset(&td, UniformRects(240, region, 3.0f, 42), "kb", &keep);
+    dc = MakeDataset(&td, UniformRects(230, region, 3.0f, 43), "kc", &keep);
+    joiner.emplace(&td.disk, JoinOptions());
+  }
+
+  JoinQuery Query() {
+    JoinQuery q(*joiner);
+    q.Input(JoinInput::FromStream(da))
+        .Input(JoinInput::FromStream(db))
+        .Input(JoinInput::FromStream(dc))
+        .MemoryBytes(4u << 20)
+        .Threads(2);
+    return q;
+  }
+};
+
+TEST_F(ContendedServiceTest, KWayQueryBesidePairwiseMatchesStandalone) {
+  // Identical data on two fresh disks: one for the standalone reference,
+  // one for the service run, so both start from the same disk state.
+  KWayData standalone_data, service_data;
+  CollectingTupleSink standalone;
+  auto direct = standalone_data.Query().Run(&standalone);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+
+  ServiceOptions so;
+  so.global_memory_bytes = 32u << 20;
+  so.worker_threads = 2;
+  SpatialService service(so);
+  std::vector<CollectingSink> pair_sinks(3);
+  std::vector<SubmittedQuery> pairwise;
+  for (CollectingSink& sink : pair_sinks) {
+    pairwise.push_back(service.Submit(MakeQuery(4u << 20), &sink));
+  }
+  CollectingTupleSink tuples;
+  SubmittedQuery kway = service.Submit(service_data.Query(), &tuples);
+
+  for (size_t i = 0; i < pairwise.size(); ++i) {
+    ASSERT_TRUE(pairwise[i].Result().ok())
+        << pairwise[i].Result().status().ToString();
+    EXPECT_EQ(Sorted(pair_sinks[i].pairs()), expected_) << "query " << i;
+  }
+  const auto& result = kway.Result();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(tuples.tuples().empty());
+  EXPECT_EQ(tuples.tuples(), standalone.tuples());
+  EXPECT_EQ(result->output_count, direct->output_count);
+  testing_util::ExpectSameDisk(result->disk, direct->disk,
+                               "k-way through the service");
+  EXPECT_EQ(kway.granted_bytes(), 4u << 20);
+  EXPECT_EQ(service.stats().admitted_full, 4u);
+}
+
+TEST_F(ContendedServiceTest, QueuedKWayQueryCanBeCancelled) {
+  KWayData data;
+  ServiceOptions so;
+  so.global_memory_bytes = 8u << 20;
+  so.worker_threads = 1;
+  SpatialService service(so);
+
+  BlockingSink blocker;
+  SubmittedQuery holder = service.Submit(MakeQuery(8u << 20), &blocker);
+  blocker.WaitEntered();  // The whole budget is now held.
+
+  SubmitOptions no_degrade;
+  no_degrade.allow_degraded = false;
+  CollectingTupleSink tuples;
+  SubmittedQuery queued = service.Submit(data.Query(), &tuples, no_degrade);
+  EXPECT_FALSE(queued.done());
+  EXPECT_TRUE(queued.Cancel());
+  EXPECT_EQ(queued.Result().status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(service.stats().cancelled, 1u);
+
+  blocker.Release();
+  ASSERT_TRUE(holder.Result().ok());
+  EXPECT_TRUE(tuples.tuples().empty());  // Never ran.
+}
+
+// ---------------------------------------------------------------------------
 // Inline mode and the Run() wrapper.
 // ---------------------------------------------------------------------------
 
