@@ -8,7 +8,8 @@
 //   hand-rolled: JoinQuery materializes every pair, then two explicit
 //                passes rebuild the grid and the top-k on the side
 //
-// and asserts the outputs are identical row for row. The point of the
+// and asserts the outputs are identical row for row, and that the
+// pipeline reads and writes exactly the pages of its join. The point of the
 // comparison is the materialization the pipeline never pays: the
 // hand-rolled path holds |join| pairs (unbounded, workload-dependent)
 // while the pipeline's footprint is the grid band plus a k-entry heap,
@@ -174,6 +175,14 @@ void Run(const BenchConfig& config) {
     // order, down to rect corners, cell ids, and counts.
     SJ_CHECK(pipeline_rows.rows() == handrolled)
         << name << ": pipeline and hand-rolled answers diverged";
+    // The join hands the pipeline its rectangles, and the grid never
+    // spills here: the pipeline moves exactly the pages of its join.
+    SJ_CHECK(pipeline_stats->disk.pages_read == join_stats->disk.pages_read &&
+             pipeline_stats->disk.pages_written ==
+                 join_stats->disk.pages_written)
+        << name << ": pipeline read/wrote " << pipeline_stats->disk.pages_read
+        << "/" << pipeline_stats->disk.pages_written << " pages, its join "
+        << join_stats->disk.pages_read << "/" << join_stats->disk.pages_written;
 
     // What the hand-rolled path had to hold to get there.
     const uint64_t pairs_bytes =

@@ -192,8 +192,8 @@ class CostModel {
   // prices one physical operator so Explain() can annotate the whole
   // operator tree with the same arithmetic the join terms use.
 
-  /// Modeled seconds for one sequential pass over `pages` — a stream-side
-  /// WindowScan or a RectResolver's in-memory load.
+  /// Modeled seconds for one sequential pass over `pages`: a stream-side
+  /// WindowScan.
   double ScanSeconds(uint64_t pages) const {
     return HistogramPassSeconds(pages);
   }
@@ -215,21 +215,6 @@ class CostModel {
     const double seq = machine_.PageTransferMs(kPageSize) * 1e-3;
     return static_cast<double>(spill_pages) *
            (machine_.write_factor + static_cast<double>(bands)) * seq;
-  }
-
-  /// Modeled seconds for resolving `lookups` join-output ids against a
-  /// relation of `pages` MBR pages through an external rect map: the
-  /// id-sort build (one streamed read/write pass over the relation) plus
-  /// the batched lookups — random single-page reads, bounded by one page
-  /// per lookup and by the table size per batch, like RefineSeconds. The
-  /// in-memory path costs only the build scan (price with ScanSeconds).
-  double RectResolveSeconds(uint64_t lookups, uint64_t pages) const {
-    const double seq = machine_.PageTransferMs(kPageSize) * 1e-3;
-    const double rand =
-        (machine_.avg_access_ms + machine_.PageTransferMs(kPageSize)) * 1e-3;
-    const double build = static_cast<double>(pages) *
-                         (1.0 + machine_.write_factor) * seq;
-    return build + static_cast<double>(std::min(lookups, pages)) * rand;
   }
 
   const MachineModel& machine() const { return machine_; }

@@ -1,6 +1,8 @@
 #include "core/join_query.h"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -47,6 +49,82 @@ Result<JoinStats> RunInline(const JoinQuery& query, Sink* sink) {
   return service.Submit(query, sink).Result();
 }
 
+/// Gives a rectangle sink the original MBRs of the ε-expanded input in
+/// place of the expanded copies the filter step joined.
+class RestoreOriginalRects final : public JoinSink {
+ public:
+  RestoreOriginalRects(const CompiledPlan& plan, JoinSink* down)
+      : JoinSink(/*wants_rects=*/true),
+        originals_(plan.originals),
+        side_(plan.expanded_side),
+        down_(down) {}
+
+  void Emit(ObjectId a, ObjectId b) override { down_->Emit(a, b); }
+  void EmitRects(const RectF& a, const RectF& b) override {
+    if (side_ == 0) {
+      down_->EmitRects(Original(a.id), b);
+    } else {
+      down_->EmitRects(a, Original(b.id));
+    }
+  }
+
+ private:
+  const RectF& Original(ObjectId id) const {
+    const auto it = std::lower_bound(
+        originals_.begin(), originals_.end(), id,
+        [](const RectF& r, ObjectId v) { return r.id < v; });
+    SJ_CHECK(it != originals_.end() && it->id == id);
+    return *it;
+  }
+
+  const std::vector<RectF>& originals_;
+  const size_t side_;
+  JoinSink* down_;
+};
+
+/// Hands refinement's survivors to a rectangle sink with the MBRs their
+/// filter step found. Refinement emits survivors in candidate order, so
+/// one forward walk over the candidates finds each.
+class ReattachRects final : public JoinSink {
+ public:
+  ReattachRects(const CollectingSink& candidates, JoinSink* down)
+      : candidates_(candidates), down_(down) {}
+
+  void Emit(ObjectId a, ObjectId b) override {
+    const std::vector<IdPair>& pairs = candidates_.pairs();
+    while (pairs[next_].a != a || pairs[next_].b != b) {
+      SJ_CHECK(++next_ < pairs.size());
+    }
+    down_->EmitRects(candidates_.rects()[2 * next_],
+                     candidates_.rects()[2 * next_ + 1]);
+    next_++;
+  }
+
+ private:
+  const CollectingSink& candidates_;
+  JoinSink* down_;
+  size_t next_ = 0;
+};
+
+/// ReattachRects for k-way survivors and their contact boxes.
+class ReattachBoxes final : public TupleSink {
+ public:
+  ReattachBoxes(const CollectingTupleSink& candidates, TupleSink* down)
+      : candidates_(candidates), down_(down) {}
+
+  void Emit(const std::vector<ObjectId>& tuple) override {
+    const std::vector<std::vector<ObjectId>>& tuples = candidates_.tuples();
+    while (tuples[next_] != tuple) SJ_CHECK(++next_ < tuples.size());
+    down_->EmitBox(tuple, candidates_.boxes()[next_]);
+    next_++;
+  }
+
+ private:
+  const CollectingTupleSink& candidates_;
+  TupleSink* down_;
+  size_t next_ = 0;
+};
+
 Status MissingFeaturesError(size_t index, bool multiway) {
   return Status::FailedPrecondition(
       std::string("refine=true but input #") + std::to_string(index) +
@@ -63,7 +141,8 @@ JoinQuery& JoinQuery::WithFeatures(size_t index, const FeatureStore* store) {
   return *this;
 }
 
-Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
+Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan,
+                                         bool keep_originals) {
   const double eps = plan.predicate.epsilon;
   // The transform's buffers (collected rectangles, and for ST the
   // expanded side's bulk-load sort) are governed like everything else.
@@ -85,7 +164,6 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
     StreamReader<RectF> reader(range.pager, range.first_page, range.count);
     while (std::optional<RectF> r = reader.Next()) rects.push_back(*r);
   }
-  for (RectF& r : rects) r = ExpandRectForDistance(r, eps);
   transform_grant.NoteUsage(rects.size() * sizeof(RectF));
 
   SJ_ASSIGN_OR_RETURN(
@@ -93,7 +171,7 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
       MakePager(plan.options.storage.get(), plan.disk, "distance.expanded"));
   StreamWriter<RectF> writer(pager.get());
   const PageId first = writer.first_page();
-  for (const RectF& r : rects) writer.Append(r);
+  for (const RectF& r : rects) writer.Append(ExpandRectForDistance(r, eps));
   SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
   DatasetRef expanded;
   expanded.range = StreamRange{pager.get(), first, n};
@@ -130,10 +208,20 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
   // ε-fringe, so traversals fall back to extent-only pruning. (The
   // planner already consumed them for its estimate above the transform.)
   for (const GridHistogram*& hist : plan.prune_histograms) hist = nullptr;
+
+  if (keep_originals) {
+    std::sort(rects.begin(), rects.end(),
+              [](const RectF& x, const RectF& y) { return x.id < y.id; });
+    transform_grant.Shrink(rects.size() * sizeof(RectF));
+    plan.originals = std::move(rects);
+    plan.expanded_side = side;
+    plan.originals_grant = std::move(transform_grant);
+  }
   return Status::OK();
 }
 
-Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only) {
+Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only,
+                                        bool keep_originals) {
   CompiledPlan plan;
   plan.disk = joiner_->disk();
   plan.options = options_;
@@ -237,7 +325,7 @@ Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only) {
     }
     if (!plan_only && predicate_.kind == Predicate::kDistanceWithin) {
       JoinMeasurement compile_measurement(plan.disk);
-      SJ_RETURN_IF_ERROR(ApplyDistanceTransform(plan));
+      SJ_RETURN_IF_ERROR(ApplyDistanceTransform(plan, keep_originals));
       const JoinStats compile_stats = compile_measurement.Finish();
       plan.compile_disk = compile_stats.disk;
       plan.compile_cpu_seconds = compile_stats.host_cpu_seconds;
@@ -264,7 +352,14 @@ Result<JoinStats> JoinQuery::Run(TupleSink* sink) {
 }
 
 Result<JoinStats> JoinQuery::RunDirect(JoinSink* sink) {
-  SJ_ASSIGN_OR_RETURN(CompiledPlan plan, Compile(/*multiway=*/false));
+  SJ_ASSIGN_OR_RETURN(CompiledPlan plan,
+                      Compile(/*multiway=*/false, /*plan_only=*/false,
+                              /*keep_originals=*/sink->wants_rects()));
+  std::optional<RestoreOriginalRects> restore;
+  if (sink->wants_rects() &&
+      plan.predicate.kind == Predicate::kDistanceWithin) {
+    sink = &restore.emplace(plan, sink);
+  }
   JoinStats stats;
   if (!plan.options.refine) {
     SJ_ASSIGN_OR_RETURN(stats, ExecuteFilter(plan, sink));
@@ -272,14 +367,16 @@ Result<JoinStats> JoinQuery::RunDirect(JoinSink* sink) {
   } else {
     // Filter step: the MBR join buffers candidates; refinement resolves
     // them against exact geometry and forwards survivors to the caller.
-    CollectingSink candidates;
+    CollectingSink candidates(sink->wants_rects());
     SJ_ASSIGN_OR_RETURN(stats, ExecuteFilter(plan, &candidates));
     ThreadCpuTimer refine_cpu;
+    ReattachRects reattach(candidates, sink);
     SJ_ASSIGN_OR_RETURN(
         RefineStats refined,
         RefinePairs(candidates.pairs(), *plan.inputs[0].features(),
-                    *plan.inputs[1].features(), plan.options, sink,
-                    plan.predicate, plan.arbiter.get()));
+                    *plan.inputs[1].features(), plan.options,
+                    sink->wants_rects() ? &reattach : sink, plan.predicate,
+                    plan.arbiter.get()));
     FoldRefinement(refined, refine_cpu.Elapsed(), &stats);
   }
   FoldCompileAndMemory(plan, &stats);
@@ -299,12 +396,14 @@ Result<JoinStats> JoinQuery::RunDirect(TupleSink* sink) {
     }
     // Filter step with candidates buffered in memory, then batched k-way
     // refinement with the pairwise exact predicate.
-    CollectingTupleSink candidates;
+    CollectingTupleSink candidates(sink->wants_rects());
     SJ_ASSIGN_OR_RETURN(stats, ExecuteMultiwayFilter(plan, &candidates));
     ThreadCpuTimer refine_cpu;
+    ReattachBoxes reattach(candidates, sink);
     SJ_ASSIGN_OR_RETURN(
         RefineStats refined,
-        RefineTuples(candidates.tuples(), stores, plan.options, sink,
+        RefineTuples(candidates.tuples(), stores, plan.options,
+                     sink->wants_rects() ? &reattach : sink,
                      plan.arbiter.get()));
     FoldRefinement(refined, refine_cpu.Elapsed(), &stats);
   }

@@ -157,12 +157,15 @@ class JoinQuery {
 
   /// Shared validation + input resolution. `multiway` selects the k-way
   /// rules (input count, predicate restrictions); `plan_only` skips the
-  /// ε-expansion materialization (Explain never executes I/O passes).
-  Result<CompiledPlan> Compile(bool multiway, bool plan_only = false);
+  /// ε-expansion materialization (Explain never executes I/O passes);
+  /// `keep_originals` (a sink that wants rectangles) keeps the expanded
+  /// side's original MBRs on the plan.
+  Result<CompiledPlan> Compile(bool multiway, bool plan_only = false,
+                               bool keep_originals = false);
 
   /// Applies the ε-expansion transform for kDistanceWithin to the plan's
   /// resolved inputs (see Predicate documentation in join/predicate.h).
-  Status ApplyDistanceTransform(CompiledPlan& plan);
+  Status ApplyDistanceTransform(CompiledPlan& plan, bool keep_originals);
 
   SpatialJoiner* joiner_;
   std::vector<JoinInput> inputs_;

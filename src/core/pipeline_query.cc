@@ -439,19 +439,8 @@ Result<PipelinePlan> PipelineQuery::Explain() {
       source_name = "MultiwayJoin";
       source_detail = std::to_string(inputs_.size()) + "-way chain";
     }
-    // Rect resolution behind the join: one lookup table per input.
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      const uint64_t table_bytes = inputs_[i].count() * sizeof(RectF);
-      const bool fits = table_bytes <= options_.memory_bytes / 4;
-      source_cost +=
-          fits ? cost.ScanSeconds(inputs_[i].pages())
-               : cost.RectResolveSeconds(
-                     static_cast<uint64_t>(source_rows), inputs_[i].pages());
-      source_planned += static_cast<size_t>(
-          std::min<uint64_t>(table_bytes, options_.memory_bytes / 4));
-    }
-    plan.memory.grants.push_back(
-        MemoryGrantSpec{grants::kOpRectMap, source_planned});
+    // The join hands its rows their rectangles as it finds the pairs, so
+    // the source costs what the join does.
   }
 
   // Downstream chain, source -> sink, then assemble the tree root-first.
@@ -582,15 +571,14 @@ Result<JoinStats> PipelineQuery::RunDirect(RowSink* sink) {
                                             options_.strict_memory_accounting);
 
   DiskModel* main_disk = joiner_->disk();
-  // The pipeline's own scratch disk: rect maps and aggregation spills live
-  // here so their traffic — some of it concurrent with the join, whose
-  // stats are measured as a main-disk delta — is accounted exactly once.
+  // The pipeline's own scratch disk: aggregation spills live here so
+  // their traffic, concurrent with the join (whose stats are measured as a
+  // main-disk delta), is accounted exactly once.
   DiskModel op_disk(main_disk->machine());
   PipelineContext ctx;
   ctx.disk = &op_disk;
   ctx.arbiter = arbiter.get();
   ctx.storage = options_.storage.get();
-  ctx.prefetch = PrefetchContextOf(options_);
 
   JoinStats out;
   ThreadCpuTimer cpu;
@@ -645,20 +633,8 @@ Result<JoinStats> PipelineQuery::RunDirect(RowSink* sink) {
       }
     }
 
-    // One id -> MBR resolver per input, under the shared arbiter.
-    std::vector<std::unique_ptr<RectResolver>> resolvers;
-    std::vector<RectResolver*> resolver_ptrs;
-    for (size_t i = 0; i < join_inputs.size(); ++i) {
-      SJ_ASSIGN_OR_RETURN(
-          std::unique_ptr<RectResolver> resolver,
-          RectResolver::Build(join_inputs[i], &op_disk, arbiter.get(),
-                              ctx.storage, ctx.prefetch,
-                              "pipeline.in" + std::to_string(i),
-                              SortConfigOf(options_)));
-      resolver_ptrs.push_back(resolver.get());
-      resolvers.push_back(std::move(resolver));
-    }
-    JoinRowAdapter adapter(resolver_ptrs, head);
+    // The join hands every pair (or tuple) its rectangles as it finds it.
+    JoinRowAdapter adapter(head);
 
     // The join runs directly under the pipeline's arbiter (not through
     // JoinQuery::Run, whose inline service would carve a second budget);
@@ -679,30 +655,25 @@ Result<JoinStats> PipelineQuery::RunDirect(RowSink* sink) {
 
     const bool pairwise = join_inputs.size() == 2;
     SJ_ASSIGN_OR_RETURN(
-        const JoinStats join,
+        JoinStats join,
         pairwise ? jq.RunDirect(static_cast<JoinSink*>(&adapter))
                  : jq.RunDirect(static_cast<TupleSink*>(&adapter)));
-    out.disk += join.disk;
-    out.host_cpu_seconds += join.host_cpu_seconds;
-    out.candidate_count = join.candidate_count;
-    out.refine_pages_read = join.refine_pages_read;
-    out.algorithm = join.algorithm;
+    // The pipeline reports everything its join does, plus its own work.
+    join.disk += out.disk;
+    join.host_cpu_seconds += out.host_cpu_seconds;
+    join.operators = std::move(out.operators);
+    OperatorStats join_op;
+    join_op.name = pairwise ? std::string("SpatialJoin[") +
+                                  ToString(join.algorithm) + "]"
+                            : "MultiwayJoin";
+    join_op.rows_in = join.output_count;
+    join_op.rows_out = join.output_count;
+    join.operators.push_back(std::move(join_op));
+    out = std::move(join);
     cpu.Restart();
     main_mark = main_disk->stats();
 
-    SJ_RETURN_IF_ERROR(adapter.Finish());
     for (auto& op : chain) SJ_RETURN_IF_ERROR(op->Finish());
-
-    OperatorStats join_op;
-    join_op.name = pairwise ? std::string("SpatialJoin[") +
-                                  ToString(out.algorithm) + "]"
-                            : "MultiwayJoin";
-    join_op.rows_in = join.output_count;
-    join_op.rows_out = adapter.rows_forwarded();
-    for (const RectResolver* r : resolver_ptrs) {
-      join_op.pages_read += r->lookup_pages_read();
-    }
-    out.operators.push_back(std::move(join_op));
   }
 
   for (auto& op : chain) out.operators.push_back(op->stats());

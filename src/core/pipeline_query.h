@@ -86,8 +86,10 @@ using PipelineStats = JoinStats;
 ///
 /// Source: one Input() is a (window) scan; two run the pairwise spatial
 /// join (any algorithm, any predicate, refinement included); three or
-/// more run the k-way chain. Join outputs become geometry rows via
-/// grant-governed RectResolvers (rect = the members' contact box).
+/// more run the k-way chain. The join hands each output its members'
+/// rectangles where it finds it, and it becomes a row with rect = the
+/// members' contact box (for kDistanceWithin, of the inputs' original
+/// MBRs, not the ε-expanded ones the filter joined).
 /// Downstream operators apply in call order. The pipeline draws every
 /// grant — the join's and the operators' — from one MemoryArbiter, prices
 /// the whole tree via the CostModel's per-operator terms (Explain), and

@@ -66,6 +66,7 @@ class BFSRunner {
   }
 
   BufferPoolStats pool_stats() const { return pool_.stats(); }
+  uint64_t emitted() const { return emitted_; }
 
  private:
   Status LoadOverlapping(const RTree& tree, PageId page, const RectF& window,
@@ -92,7 +93,8 @@ class BFSRunner {
       SJ_RETURN_IF_ERROR(
           LoadOverlapping(tree_b_, pair.page_b, window, &ents_b_));
       SweepEntryLists(ents_a_, ents_b_, [this](const RectF& a, const RectF& b) {
-        sink_->Emit(a.id, b.id);
+        sink_->EmitPair(a, b);
+        emitted_++;
       });
       return Status::OK();
     }
@@ -129,6 +131,7 @@ class BFSRunner {
   const RTree& tree_b_;
   BufferPool pool_;
   JoinSink* sink_;
+  uint64_t emitted_ = 0;
   // Scratch entry lists reused across pairs.
   std::vector<RectF> ents_a_;
   std::vector<RectF> ents_b_;
@@ -143,26 +146,12 @@ Result<JoinStats> BFSJoin(const RTree& a, const RTree& b, DiskModel* disk,
       disk->device_stats()[a.pager()->device_id()].pages_read +
       disk->device_stats()[b.pager()->device_id()].pages_read;
 
-  CountingSink counter;
-  class TeeSink final : public JoinSink {
-   public:
-    TeeSink(JoinSink* out, CountingSink* count) : out_(out), count_(count) {}
-    void Emit(ObjectId x, ObjectId y) override {
-      out_->Emit(x, y);
-      count_->Emit(x, y);
-    }
-
-   private:
-    JoinSink* out_;
-    CountingSink* count_;
-  } tee(sink, &counter);
-
-  BFSRunner runner(a, b, options, &tee);
+  BFSRunner runner(a, b, options, sink);
   size_t max_pairs_bytes = 0;
   SJ_RETURN_IF_ERROR(runner.Run(&max_pairs_bytes));
 
   JoinStats stats = measurement.Finish();
-  stats.output_count = counter.count();
+  stats.output_count = runner.emitted();
   stats.index_pages_read =
       disk->device_stats()[a.pager()->device_id()].pages_read +
       disk->device_stats()[b.pager()->device_id()].pages_read -

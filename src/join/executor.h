@@ -174,6 +174,13 @@ struct CompiledPlan {
   /// expanded-tree rebuilds); folded into the query's reported stats.
   DiskStats compile_disk;
   double compile_cpu_seconds = 0.0;
+  /// For kDistanceWithin into a sink that wants rectangles: the original
+  /// MBRs of the ε-expanded input `expanded_side`, sorted by id and held
+  /// under the transform's grant. The expansion rounds outward and cannot
+  /// be undone, so emitted pairs take that side's rectangle from here.
+  std::vector<RectF> originals;
+  size_t expanded_side = 0;
+  MemoryGrant originals_grant;
 
   /// Temporaries backing resolved inputs; owned by the plan so resolved
   /// DatasetRefs and trees stay valid for its lifetime.

@@ -167,8 +167,8 @@ struct OperatorStats {
   std::string name;
   uint64_t rows_in = 0;
   uint64_t rows_out = 0;
-  /// Pages this operator itself fetched (resolver lookups, index window
-  /// descents) — the whole pipeline's I/O lands in JoinStats::disk.
+  /// Pages this operator itself fetched (index window descents); the
+  /// whole pipeline's I/O lands in JoinStats::disk.
   uint64_t pages_read = 0;
   /// Scratch pages the operator spilled under memory pressure.
   uint64_t spill_pages = 0;
@@ -299,10 +299,33 @@ std::ostream& operator<<(std::ostream& os, const JoinStats& stats);
 
 /// Consumer of join output pairs. Pair order is (id from input A, id from
 /// input B).
+///
+/// Every emission site holds both MBRs when it finds a pair. A sink that
+/// wants them says so at construction; the sites then call EmitRects, and
+/// the buffers between a site and the sink carry the rectangles. An id
+/// sink overrides Emit only and gets one call per pair with the ids.
 class JoinSink {
  public:
+  explicit JoinSink(bool wants_rects = false) : wants_rects_(wants_rects) {}
   virtual ~JoinSink() = default;
   virtual void Emit(ObjectId a, ObjectId b) = 0;
+  /// A pair with the MBRs the join matched (`a` from input A). Called
+  /// instead of Emit when wants_rects(); the default forwards the ids.
+  virtual void EmitRects(const RectF& a, const RectF& b) { Emit(a.id, b.id); }
+  bool wants_rects() const { return wants_rects_; }
+
+  /// The emission sites' call: the rectangles to a sink that wants them,
+  /// else the ids (one virtual call either way).
+  void EmitPair(const RectF& a, const RectF& b) {
+    if (wants_rects_) {
+      EmitRects(a, b);
+    } else {
+      Emit(a.id, b.id);
+    }
+  }
+
+ private:
+  bool wants_rects_;
 };
 
 /// Counts results without storing them (the paper's joins exclude output
@@ -316,15 +339,41 @@ class CountingSink final : public JoinSink {
   uint64_t count_ = 0;
 };
 
-/// Collects results in memory (tests, small joins).
+/// Collects results in memory (tests, small joins). It is also the one
+/// buffer the parallel paths and refinement put in front of a caller's
+/// sink: made with `rects` (the caller's wants_rects()), it keeps both
+/// MBRs of every pair too and replays them.
 class CollectingSink final : public JoinSink {
  public:
+  explicit CollectingSink(bool rects = false) : JoinSink(rects) {}
+
   void Emit(ObjectId a, ObjectId b) override { pairs_.push_back({a, b}); }
+  void EmitRects(const RectF& a, const RectF& b) override {
+    pairs_.push_back({a.id, b.id});
+    rects_.push_back(a);
+    rects_.push_back(b);
+  }
   const std::vector<IdPair>& pairs() const { return pairs_; }
   std::vector<IdPair>& mutable_pairs() { return pairs_; }
+  /// rects()[2 * i] and rects()[2 * i + 1] are the MBRs of pairs()[i]
+  /// (empty unless wants_rects()).
+  const std::vector<RectF>& rects() const { return rects_; }
+
+  /// Emits the collected pairs into `sink` in order, with their MBRs when
+  /// this buffer holds them.
+  void ReplayInto(JoinSink* sink) const {
+    if (wants_rects()) {
+      for (size_t i = 0; i < pairs_.size(); ++i) {
+        sink->EmitRects(rects_[2 * i], rects_[2 * i + 1]);
+      }
+    } else {
+      for (const IdPair& p : pairs_) sink->Emit(p.a, p.b);
+    }
+  }
 
  private:
   std::vector<IdPair> pairs_;
+  std::vector<RectF> rects_;
 };
 
 /// Writes results as an IdPair stream (charged output I/O).

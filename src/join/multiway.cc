@@ -85,8 +85,9 @@ class PairSourceImpl final : public PairSourceBase {
 /// sources. `accept(ra, rb)` filters final results before expansion (the
 /// parallel path uses it for the strip reference-point test); `ra` is the
 /// running intersection of inputs 0..k-2, so max(ra.xlo, rb.xlo) is the
-/// left edge of the full k-way intersection. Returns the output count and
-/// the chain's sampled peak state (max_queue_bytes).
+/// left edge of the full k-way intersection and ra ∩ rb is the tuple's
+/// contact box. Returns the output count and the chain's sampled peak
+/// state (max_queue_bytes).
 template <typename Accept>
 JoinStats RunMultiwayChain(const std::vector<SortedRectSource*>& inputs,
                                const RectF& extent, const JoinOptions& options,
@@ -118,7 +119,11 @@ JoinStats RunMultiwayChain(const std::vector<SortedRectSource*>& inputs,
     tuple.clear();
     expand(expand, chain.size(), ra.id);
     tuple.push_back(rb.id);
-    sink->Emit(tuple);
+    if (sink->wants_rects()) {
+      sink->EmitBox(tuple, ra.IntersectionWith(rb));
+    } else {
+      sink->Emit(tuple);
+    }
     stats.output_count++;
   };
   struct Adapter {
@@ -250,6 +255,7 @@ Result<JoinStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
   for (uint32_t s = 0; s < map.strips(); ++s) {
     StripTask& t = tasks[s];
     t.disk = std::make_unique<DiskModel>(disk->machine());
+    t.sink = CollectingTupleSink(sink->wants_rects());
     t.files.pagers.resize(k);
     t.files.ranges.resize(k);
     for (size_t in = 0; in < k; ++in) {
@@ -289,11 +295,7 @@ Result<JoinStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
   double worker_cpu = 0;
   DiskStats shard_disk;
   for (const StripTask& t : tasks) {
-    if (pooled) {
-      for (const std::vector<ObjectId>& tuple : t.sink.tuples()) {
-        sink->Emit(tuple);
-      }
-    }
+    if (pooled) t.sink.ReplayInto(sink);
     output += t.run.output_count;
     max_queue_bytes = std::max(max_queue_bytes, t.run.max_queue_bytes);
     worker_cpu += t.run.host_cpu_seconds;

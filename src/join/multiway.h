@@ -12,10 +12,23 @@
 namespace sj {
 
 /// Consumer of k-way join results; `tuple[i]` is an object id from input i.
+/// Like JoinSink, a sink that wants geometry says so at construction and
+/// then gets each tuple with its contact box.
 class TupleSink {
  public:
+  explicit TupleSink(bool wants_rects = false) : wants_rects_(wants_rects) {}
   virtual ~TupleSink() = default;
   virtual void Emit(const std::vector<ObjectId>& tuple) = 0;
+  /// A tuple with the common intersection of its members' MBRs. Called
+  /// instead of Emit when wants_rects(); the default forwards the ids.
+  virtual void EmitBox(const std::vector<ObjectId>& tuple,
+                       const RectF& /*box*/) {
+    Emit(tuple);
+  }
+  bool wants_rects() const { return wants_rects_; }
+
+ private:
+  bool wants_rects_;
 };
 
 class CountingTupleSink final : public TupleSink {
@@ -27,15 +40,39 @@ class CountingTupleSink final : public TupleSink {
   uint64_t count_ = 0;
 };
 
+/// Collects tuples in memory; like CollectingSink, the buffer in front of
+/// a caller's sink, keeping the contact boxes when made with `rects`.
 class CollectingTupleSink final : public TupleSink {
  public:
+  explicit CollectingTupleSink(bool rects = false) : TupleSink(rects) {}
+
   void Emit(const std::vector<ObjectId>& tuple) override {
     tuples_.push_back(tuple);
   }
+  void EmitBox(const std::vector<ObjectId>& tuple, const RectF& box) override {
+    tuples_.push_back(tuple);
+    boxes_.push_back(box);
+  }
   const std::vector<std::vector<ObjectId>>& tuples() const { return tuples_; }
+  /// boxes()[i] is the contact box of tuples()[i] (empty unless
+  /// wants_rects()).
+  const std::vector<RectF>& boxes() const { return boxes_; }
+
+  /// Emits the collected tuples into `sink` in order, with their boxes
+  /// when this buffer holds them.
+  void ReplayInto(TupleSink* sink) const {
+    for (size_t i = 0; i < tuples_.size(); ++i) {
+      if (wants_rects()) {
+        sink->EmitBox(tuples_[i], boxes_[i]);
+      } else {
+        sink->Emit(tuples_[i]);
+      }
+    }
+  }
 
  private:
   std::vector<std::vector<ObjectId>> tuples_;
+  std::vector<RectF> boxes_;
 };
 
 /// A lazily-evaluated two-way PQ join exposed as a sorted source: yields

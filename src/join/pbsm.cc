@@ -252,6 +252,7 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
   for (uint32_t i = 0; i < p; ++i) {
     PartitionTask& t = tasks[i];
     t.disk = std::make_unique<DiskModel>(disk->machine());
+    t.sink = CollectingSink(sink->wants_rects());
     t.memory = std::make_unique<MemoryArbiter>(partition_budget,
                                                scope->strict());
     t.pager_a = RehomePager(std::move(files_a[i].pager), t.disk.get());
@@ -279,7 +280,7 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
         JoinSink* out = pooled ? static_cast<JoinSink*>(&t.sink) : sink;
         auto emit = [&](const RectF& ra, const RectF& rb) {
           if (grid.ReferencePartition(ra, rb) == i) {
-            out->Emit(ra.id, rb.id);
+            out->EmitPair(ra, rb);
             t.output++;
           }
         };
@@ -371,7 +372,7 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
   for (const PartitionTask& t : tasks) {
     folded_sort.Fold(t.sort_stats);
     if (pooled) {
-      for (const IdPair& pair : t.sink.pairs()) sink->Emit(pair.a, pair.b);
+      t.sink.ReplayInto(sink);
     }
     output += t.output;
     max_sweep = std::max(max_sweep, t.max_sweep_bytes);

@@ -13,7 +13,8 @@ namespace sj {
 
 /// The plane sweep SSSJ and PQ run over their two y-sorted inputs: the
 /// banded Striped-Sweep (BandedSweepJoin) with the options' structure
-/// kind, strip count, num_threads bands and worker pool.
+/// kind, strip count, num_threads bands and worker pool. A sink that
+/// wants rectangles gets them, through rings of rectangles.
 ///
 /// The sweep holds one grants::kSweep grant of `grant_bytes` (the caller
 /// decides its size). The interval structures' estimate for `events`
@@ -45,9 +46,14 @@ JoinStats SweepSortedInputs(SourceA& a, SourceB& b, const RectF& extent,
   config.buffer_bytes =
       grant.bytes() - std::min(grant.bytes(), EstimateSweepBytes(events));
   const BandedSweepStats sweep =
-      BandedSweepJoin(config, a, b, [sink](ObjectId ida, ObjectId idb) {
-        sink->Emit(ida, idb);
-      });
+      sink->wants_rects()
+          ? BandedSweepJoin(config, a, b,
+                            [sink](const RectF& ra, const RectF& rb) {
+                              sink->EmitRects(ra, rb);
+                            })
+          : BandedSweepJoin(config, a, b, [sink](ObjectId ida, ObjectId idb) {
+              sink->Emit(ida, idb);
+            });
   grant.NoteUsage(sweep.max_structure_bytes + sweep.buffer_bytes);
 
   JoinStats stats = measurement->Finish();

@@ -67,7 +67,8 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
   const uint64_t events = a.count() + b.count();
   const size_t sweep_grant_bytes =
       est_sweep_bytes +
-      BandedSweepBufferBytes(std::max(1u, options.num_threads), events);
+      BandedSweepBufferBytes(std::max(1u, options.num_threads), events,
+                             sink->wants_rects());
   JoinStats stats;
 
   if (options.fuse_merge_sweep) {
@@ -266,6 +267,7 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
   for (uint32_t s = 0; s < map.strips(); ++s) {
     StripTask& t = tasks[s];
     t.disk = std::make_unique<DiskModel>(disk->machine());
+    t.sink = CollectingSink(sink->wants_rects());
     t.memory = std::make_unique<MemoryArbiter>(scope->budget(),
                                                scope->strict());
     t.pager_a = RehomePager(std::move(files_a[s].pager), t.disk.get());
@@ -308,7 +310,7 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
         auto emit = [&](const RectF& ra, const RectF& rb) {
           // Report only in the strip owning the overlap's left edge.
           if (map.StripOf(std::max(ra.xlo, rb.xlo)) == s) {
-            out->Emit(ra.id, rb.id);
+            out->EmitPair(ra, rb);
             t.output++;
           }
         };
@@ -335,7 +337,7 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
   for (const StripTask& t : tasks) {
     folded_sort.Fold(t.sort_stats);
     if (pooled) {
-      for (const IdPair& pair : t.sink.pairs()) sink->Emit(pair.a, pair.b);
+      t.sink.ReplayInto(sink);
     }
     output += t.output;
     max_sweep = std::max(max_sweep, t.max_sweep_bytes);

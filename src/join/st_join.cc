@@ -28,6 +28,7 @@ class STRunner {
   }
 
   size_t cached_pages() const { return pool_->cached_pages(); }
+  uint64_t emitted() const { return emitted_; }
 
  private:
   /// Loads the entries of `page` that overlap `window`, sorted by xlo.
@@ -61,7 +62,8 @@ class STRunner {
 
     if (level_a == 0 && level_b == 0) {
       SweepEntryLists(ents_a, ents_b, [this](const RectF& a, const RectF& b) {
-        sink_->Emit(a.id, b.id);
+        sink_->EmitPair(a, b);
+        emitted_++;
       });
       return Status::OK();
     }
@@ -99,6 +101,7 @@ class STRunner {
   BufferPool* pool_;
   uint32_t client_;
   JoinSink* sink_;
+  uint64_t emitted_ = 0;
 };
 
 }  // namespace
@@ -141,28 +144,14 @@ Result<JoinStats> STJoin(const RTree& a, const RTree& b, DiskModel* disk,
       disk->device_stats()[a.pager()->device_id()].pages_read +
       disk->device_stats()[b.pager()->device_id()].pages_read;
 
-  CountingSink counter;
-  class TeeSink final : public JoinSink {
-   public:
-    TeeSink(JoinSink* out, CountingSink* count) : out_(out), count_(count) {}
-    void Emit(ObjectId x, ObjectId y) override {
-      out_->Emit(x, y);
-      count_->Emit(x, y);
-    }
-
-   private:
-    JoinSink* out_;
-    CountingSink* count_;
-  } tee(sink, &counter);
-
-  STRunner runner(a, b, pool, client, &tee);
+  STRunner runner(a, b, pool, client, sink);
   SJ_RETURN_IF_ERROR(runner.Run());
   if (pool_grant.active()) {
     pool_grant.NoteUsage(runner.cached_pages() * kPageSize);
   }
 
   JoinStats stats = measurement.Finish();
-  stats.output_count = counter.count();
+  stats.output_count = runner.emitted();
   FillMemoryStats(*scope, &stats);
   stats.index_pages_read =
       disk->device_stats()[a.pager()->device_id()].pages_read +

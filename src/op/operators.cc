@@ -338,87 +338,49 @@ Status WindowScan::Run(PipelineContext& ctx, RowSink* out) {
 // JoinRowAdapter
 // ---------------------------------------------------------------------------
 
-JoinRowAdapter::JoinRowAdapter(std::vector<RectResolver*> resolvers,
-                               RowSink* down, uint32_t batch_size)
-    : resolvers_(std::move(resolvers)),
-      down_(down),
-      batch_size_(std::max<uint32_t>(1, batch_size)) {
-  SJ_CHECK(resolvers_.size() >= 2);
-  batch_.reserve(static_cast<size_t>(batch_size_) * resolvers_.size());
-}
+namespace {
 
-JoinRowAdapter::~JoinRowAdapter() = default;
-
-RectF JoinRowAdapter::ContactBox(const std::vector<RectF>& rects) {
-  SJ_DCHECK(!rects.empty());
-  RectF box(rects[0].xlo, rects[0].ylo, rects[0].xhi, rects[0].yhi);
-  for (size_t i = 1; i < rects.size(); ++i) {
-    box.xlo = std::max(box.xlo, rects[i].xlo);
-    box.ylo = std::max(box.ylo, rects[i].ylo);
-    box.xhi = std::min(box.xhi, rects[i].xhi);
-    box.yhi = std::min(box.yhi, rects[i].yhi);
-  }
-  // Overlapping members leave an intersection box; disjoint members (an
-  // ε-distance pair) leave inverted corners — swap them into the gap box.
+/// Swaps inverted corners, which disjoint members (an ε-distance pair)
+/// leave in their overlap, into the axis-wise gap box.
+RectF Uninverted(RectF box) {
   if (box.xlo > box.xhi) std::swap(box.xlo, box.xhi);
   if (box.ylo > box.yhi) std::swap(box.ylo, box.yhi);
   return box;
 }
 
-void JoinRowAdapter::Emit(ObjectId a, ObjectId b) {
-  SJ_DCHECK(resolvers_.size() == 2);
-  batch_.push_back(a);
-  batch_.push_back(b);
-  if (batch_.size() >= static_cast<size_t>(batch_size_) * 2) FlushBatch();
+}  // namespace
+
+RectF JoinRowAdapter::ContactBox(const std::vector<RectF>& rects) {
+  SJ_DCHECK(!rects.empty());
+  RectF box(rects[0].xlo, rects[0].ylo, rects[0].xhi, rects[0].yhi);
+  for (size_t i = 1; i < rects.size(); ++i) {
+    box = box.IntersectionWith(rects[i]);
+  }
+  return Uninverted(box);
 }
 
-void JoinRowAdapter::Emit(const std::vector<ObjectId>& tuple) {
-  SJ_DCHECK(tuple.size() == resolvers_.size());
-  batch_.insert(batch_.end(), tuple.begin(), tuple.end());
-  if (batch_.size() >= static_cast<size_t>(batch_size_) * resolvers_.size()) {
-    FlushBatch();
-  }
+void JoinRowAdapter::Emit(ObjectId, ObjectId) {
+  SJ_CHECK(false) << "JoinRowAdapter takes pairs with their rectangles";
 }
 
-void JoinRowAdapter::FlushBatch() {
-  if (batch_.empty()) return;
-  if (!status_.ok()) {
-    batch_.clear();
-    return;
-  }
-  const size_t arity = resolvers_.size();
-  const size_t ntuples = batch_.size() / arity;
-  // One sorted, page-coalesced lookup per input over the whole batch.
-  std::vector<std::vector<RectF>> resolved(arity);
-  std::vector<ObjectId> ids(ntuples);
-  for (size_t i = 0; i < arity; ++i) {
-    for (size_t t = 0; t < ntuples; ++t) ids[t] = batch_[t * arity + i];
-    const Status s = resolvers_[i]->Lookup(ids, &resolved[i]);
-    if (!s.ok()) {
-      status_ = s;
-      batch_.clear();
-      return;
-    }
-  }
-  std::vector<RectF> members(arity);
-  for (size_t t = 0; t < ntuples; ++t) {
-    for (size_t i = 0; i < arity; ++i) members[i] = resolved[i][t];
-    PipeRow row;
-    row.rect = ContactBox(members);
-    row.ids.assign(batch_.begin() + t * arity,
-                   batch_.begin() + (t + 1) * arity);
-    rows_forwarded_++;
-    down_->Emit(std::move(row));
-  }
-  batch_.clear();
+void JoinRowAdapter::EmitRects(const RectF& a, const RectF& b) {
+  Forward(Uninverted(a.IntersectionWith(b)), {a.id, b.id});
 }
 
-Status JoinRowAdapter::Finish() {
-  if (!finished_) {
-    FlushBatch();
-    finished_ = true;
-  }
-  return status_;
+void JoinRowAdapter::Emit(const std::vector<ObjectId>&) {
+  SJ_CHECK(false) << "JoinRowAdapter takes tuples with their boxes";
+}
+
+void JoinRowAdapter::EmitBox(const std::vector<ObjectId>& tuple,
+                             const RectF& box) {
+  Forward(box, tuple);
+}
+
+void JoinRowAdapter::Forward(const RectF& box, std::vector<ObjectId> ids) {
+  PipeRow row;
+  row.rect = box;
+  row.ids = std::move(ids);
+  down_->Emit(std::move(row));
 }
 
 }  // namespace sj

@@ -11,11 +11,9 @@
 #include "core/memory_arbiter.h"
 #include "histogram/grid_histogram.h"
 #include "io/pager.h"
-#include "io/prefetch.h"
 #include "io/stream.h"
 #include "join/executor.h"
 #include "join/multiway.h"
-#include "op/rect_resolver.h"
 #include "op/row.h"
 #include "util/result.h"
 
@@ -23,13 +21,12 @@ namespace sj {
 
 /// Resources an operator pipeline executes against: the query's disk
 /// model, its MemoryArbiter (every operator grant draws from here, so one
-/// budget bounds the whole tree), the scratch storage choice, and the
-/// prefetch context. All borrowed; the pipeline driver owns the lifetime.
+/// budget bounds the whole tree) and the scratch storage choice. All
+/// borrowed from PipelineQuery::RunDirect, which outlives the operators.
 struct PipelineContext {
   DiskModel* disk = nullptr;
   MemoryArbiter* arbiter = nullptr;
   StorageFactory* storage = nullptr;
-  PrefetchContext prefetch;
 };
 
 /// A unary push operator: consumes rows via Emit, forwards its output to
@@ -245,44 +242,31 @@ class WindowScan {
   OperatorStats stats_;
 };
 
-/// The row-side half of SpatialJoinOp: a JoinSink/TupleSink that turns
-/// the join executors' bare id tuples back into geometry rows. Ids are
-/// buffered in batches of `batch_size`; each batch is resolved through
-/// the per-input RectResolvers (sorted, page-coalesced lookups) and
-/// forwarded downstream in join-output order, with rect = the contact box
-/// of the member MBRs — their intersection when they overlap (always, for
+/// The row-side half of SpatialJoinOp: a JoinSink/TupleSink that asks
+/// the join for rectangles and forwards each pair or tuple downstream as
+/// it is emitted, in join-output order, with rect = the contact box of
+/// the member MBRs: their intersection when they overlap (always, for
 /// kIntersects) else the axis-wise gap box (ε-distance pairs whose MBRs
-/// are disjoint). Errors are sticky, surfaced by Finish().
+/// are disjoint). A k-way tuple arrives with its box already formed.
 class JoinRowAdapter final : public JoinSink, public TupleSink {
  public:
-  /// `resolvers[i]` resolves ids of join input i. Borrowed.
-  JoinRowAdapter(std::vector<RectResolver*> resolvers, RowSink* down,
-                 uint32_t batch_size = 1024);
-  ~JoinRowAdapter() override;
+  explicit JoinRowAdapter(RowSink* down)
+      : JoinSink(/*wants_rects=*/true), TupleSink(/*wants_rects=*/true),
+        down_(down) {}
 
   void Emit(ObjectId a, ObjectId b) override;
+  void EmitRects(const RectF& a, const RectF& b) override;
   void Emit(const std::vector<ObjectId>& tuple) override;
-
-  /// Flushes the tail batch; returns the first resolve error.
-  Status Finish();
-
-  uint64_t rows_forwarded() const { return rows_forwarded_; }
+  void EmitBox(const std::vector<ObjectId>& tuple, const RectF& box) override;
 
   /// The contact box of `rects`: per axis the max of lows and min of
   /// highs, corners swapped where inverted. Exposed for oracles.
   static RectF ContactBox(const std::vector<RectF>& rects);
 
  private:
-  void FlushBatch();
+  void Forward(const RectF& box, std::vector<ObjectId> ids);
 
-  std::vector<RectResolver*> resolvers_;
   RowSink* down_;
-  const uint32_t batch_size_;
-  /// Buffered tuples, flattened: batch_[t * arity + i] = id of input i.
-  std::vector<ObjectId> batch_;
-  uint64_t rows_forwarded_ = 0;
-  bool finished_ = false;
-  Status status_;
 };
 
 }  // namespace sj

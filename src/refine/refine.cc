@@ -163,9 +163,7 @@ Result<RefineStats> RefinePairs(const std::vector<IdPair>& candidates,
 
   if (pooled) {
     // Deterministic merge, in batch (= candidate) order.
-    for (const CollectingSink& b : buffered) {
-      for (const IdPair& pair : b.pairs()) sink->Emit(pair.a, pair.b);
-    }
+    for (const CollectingSink& b : buffered) b.ReplayInto(sink);
   }
   return MergeShards(shards, pooled, n);
 }
@@ -252,9 +250,7 @@ Result<RefineStats> RefineTuples(
       }));
 
   if (pooled) {
-    for (const CollectingTupleSink& b : buffered) {
-      for (const std::vector<ObjectId>& tuple : b.tuples()) sink->Emit(tuple);
-    }
+    for (const CollectingTupleSink& b : buffered) b.ReplayInto(sink);
   }
   return MergeShards(shards, pooled, n);
 }

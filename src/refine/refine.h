@@ -53,6 +53,8 @@ struct RefineStats {
 /// units on the options.num_threads pool; each runs against a private
 /// DiskModel shard and a private sink, merged in batch order afterwards,
 /// so output order and modeled I/O are identical for every thread count.
+/// Survivors reach `sink` as ids, in candidate order (the query layer
+/// re-attaches the filter's rectangles by walking the candidates).
 Result<RefineStats> RefinePairs(const std::vector<IdPair>& candidates,
                                 const FeatureStore& store_a,
                                 const FeatureStore& store_b,
@@ -65,7 +67,7 @@ Result<RefineStats> RefinePairs(const std::vector<IdPair>& candidates,
 /// of member segments intersects (the natural exact analog of the k-way
 /// MBR filter; a common point of k arbitrary segments is measure-zero).
 /// stores[i] resolves tuple[i]. Same batched parallel structure and
-/// determinism guarantees as RefinePairs.
+/// determinism guarantees as RefinePairs, survivors in candidate order.
 Result<RefineStats> RefineTuples(
     const std::vector<std::vector<ObjectId>>& tuples,
     const std::vector<const FeatureStore*>& stores, const JoinOptions& options,

@@ -26,10 +26,11 @@ uint32_t EpochFor(uint64_t events) {
   return e;
 }
 
-BandedSweepLayout Layout(uint32_t bands, uint32_t epoch_events) {
+BandedSweepLayout Layout(uint32_t bands, uint32_t epoch_events, bool rects) {
   BandedSweepLayout layout;
   layout.bands = bands;
   layout.epoch_events = epoch_events;
+  layout.pair_bytes = rects ? sizeof(RectF) : sizeof(IdPair);
   if (bands > 1) {
     layout.slots = kTeamSlots;
     layout.ring_pairs = kRingPairsPerEvent * epoch_events;
@@ -44,16 +45,18 @@ size_t BandedSweepLayout::Bytes() const {
   // Per epoch event: the event and its footprint delta.
   return size_t{slots} * epoch_events * (sizeof(SweepEvent) + sizeof(int64_t)) +
          size_t{bands > 1 ? bands : 0} *
-             (size_t{ring_pairs} * sizeof(IdPair) +
+             (size_t{ring_pairs} * pair_bytes +
               size_t{ring_records} * sizeof(StripRecord));
 }
 
-size_t BandedSweepBufferBytes(uint32_t threads, uint64_t events) {
-  return Layout(std::max<uint32_t>(1, threads), EpochFor(events)).Bytes();
+size_t BandedSweepBufferBytes(uint32_t threads, uint64_t events,
+                              bool rects) {
+  return Layout(std::max<uint32_t>(1, threads), EpochFor(events), rects)
+      .Bytes();
 }
 
 BandedSweepLayout PlanBandedSweep(const BandedSweepConfig& config,
-                                  uint32_t strips) {
+                                  uint32_t strips, bool rects) {
   uint32_t bands = 1;
   if (config.kind == SweepStructureKind::kStriped &&
       (config.pool == nullptr || config.pool->size() > 0)) {
@@ -63,15 +66,16 @@ BandedSweepLayout PlanBandedSweep(const BandedSweepConfig& config,
   if (bands > 1) {
     for (uint32_t e = top; e >= std::min(top, kMinBandedEpochEvents);
          e /= 2) {
-      const BandedSweepLayout layout = Layout(bands, e);
+      const BandedSweepLayout layout = Layout(bands, e, rects);
       if (layout.Bytes() <= config.buffer_bytes) return layout;
     }
   }
   uint32_t e = top;
-  while (e > kMinEpochEvents && Layout(1, e).Bytes() > config.buffer_bytes) {
+  while (e > kMinEpochEvents &&
+         Layout(1, e, rects).Bytes() > config.buffer_bytes) {
     e /= 2;
   }
-  return Layout(1, e);
+  return Layout(1, e, rects);
 }
 
 }  // namespace sj

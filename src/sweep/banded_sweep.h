@@ -60,16 +60,21 @@ struct BandedSweepLayout {
   uint32_t epoch_events = 0;
   uint32_t ring_pairs = 0;
   uint32_t ring_records = 0;
+  /// Bytes of one pair-ring entry: an IdPair, or the partner's RectF when
+  /// the caller takes rectangles.
+  uint32_t pair_bytes = sizeof(IdPair);
 
   size_t Bytes() const;
 };
 
-/// Picks bands and buffer sizes for `config` over `strips` strips.
+/// Picks bands and buffer sizes for `config` over `strips` strips, for a
+/// caller that takes ids or (`rects`) rectangles.
 BandedSweepLayout PlanBandedSweep(const BandedSweepConfig& config,
-                                  uint32_t strips);
+                                  uint32_t strips, bool rects = false);
 
 /// The buffer bytes a sweep of `events` events wants at `threads` bands.
-size_t BandedSweepBufferBytes(uint32_t threads, uint64_t events);
+size_t BandedSweepBufferBytes(uint32_t threads, uint64_t events,
+                              bool rects = false);
 
 namespace banded_internal {
 
@@ -144,8 +149,10 @@ class Signal {
 
 /// One band: the two inputs' structures over the strips s with
 /// s % stride == offset, plus the channel a worker running the band
-/// reports through.
-template <typename Structure>
+/// reports through. Its pair ring holds `Pair`s: IdPairs, or the partner
+/// RectF of each pair when the caller takes rectangles (the caller still
+/// holds the event's own rectangle when it drains).
+template <typename Structure, typename Pair>
 struct Band {
   enum Owner : int { kFree = 0, kWorker = 1, kCaller = 2 };
 
@@ -167,26 +174,20 @@ struct Band {
   }
 
   /// Applies strip `s` of event `e` as SweepJoinRun applies the whole
-  /// event: query the other input's structure, then insert. Reports pairs
-  /// as emit(id from A, id from B). Strips are independent, so applying
-  /// an event strip by strip equals the serial query-all-then-insert.
-  template <typename Emit>
-  void ApplyStrip(const SweepEvent& e, uint32_t s, Emit&& emit) {
+  /// event: query the other input's structure, then insert. Reports each
+  /// pair as partner(rectangle from the other input). Strips are
+  /// independent, so applying an event strip by strip equals the serial
+  /// query-all-then-insert.
+  template <typename Partner>
+  void ApplyStrip(const SweepEvent& e, uint32_t s, Partner&& partner) {
     const RectF& r = e.rect;
     Structure& mine = e.side == 0 ? *a : *b;
     Structure& other = e.side == 0 ? *b : *a;
-    auto report = [&](const RectF& o) {
-      if (e.side == 0) {
-        emit(r.id, o.id);
-      } else {
-        emit(o.id, r.id);
-      }
-    };
     if constexpr (std::is_same_v<Structure, StripedSweep>) {
-      other.QueryStrip(r, s, report);
+      other.QueryStrip(r, s, partner);
       mine.InsertStrip(r, s);
     } else {
-      other.QueryAndExpire(r, report);
+      other.QueryAndExpire(r, partner);
       mine.Insert(r);
     }
   }
@@ -226,13 +227,15 @@ struct Band {
   uint64_t next_pair = 0;
   uint64_t records_published = 0;  // Last records_taken stored.
   uint64_t pairs_published = 0;    // Last pairs_taken stored.
-  std::vector<IdPair> pairs;
+  std::vector<Pair> pairs;
   std::vector<StripRecord> records;
   Signal signal;  // The worker waits here.
 };
 
-/// The banded sweep engine; see BandedSweepJoin.
-template <typename Structure>
+/// The banded sweep engine; see BandedSweepJoin. With `kRects` it reports
+/// emit(const RectF& from A, const RectF& from B), else emit(id from A,
+/// id from B).
+template <typename Structure, bool kRects>
 class BandedSweep {
  public:
   BandedSweep(const StripeGeometry& geometry, const BandedSweepLayout& layout,
@@ -320,7 +323,8 @@ class BandedSweep {
   }
 
  private:
-  using BandT = Band<Structure>;
+  using Pair = std::conditional_t<kRects, RectF, IdPair>;
+  using BandT = Band<Structure, Pair>;
   /// A worker band publishes its progress every this many events it
   /// processed (and at every epoch end and stall).
   static constexpr uint32_t kPublishEvery = 16;
@@ -425,14 +429,14 @@ class BandedSweep {
         BandT* band = bands_[k].get();
         if (caller_runs_[k]) {
           const size_t before = band->entries();
-          band->ApplyStrip(e, s, [&](ObjectId x, ObjectId y) {
-            emit(x, y);
+          band->ApplyStrip(e, s, [&](const RectF& o) {
+            Report(e, o, emit);
             output_++;
           });
           delta += static_cast<int64_t>(band->entries()) -
                    static_cast<int64_t>(before);
         } else {
-          TakeStrip(band, g, g * geometry_.strips() + s, emit);
+          TakeStrip(band, e, g, g * geometry_.strips() + s, emit);
         }
         if (++k == stride) k = 0;
       }
@@ -456,10 +460,37 @@ class BandedSweep {
     }
   }
 
-  /// Emits the pairs a worker band found in strip-event `key` (strip of
-  /// global event `g`), if any.
+  /// Reports the pair of event `e` and its partner `o` from the other
+  /// input, in (A, B) order.
   template <typename Emit>
-  void TakeStrip(BandT* band, uint64_t g, uint64_t key, Emit& emit) {
+  static void Report(const SweepEvent& e, const RectF& o, Emit& emit) {
+    if constexpr (kRects) {
+      if (e.side == 0) {
+        emit(e.rect, o);
+      } else {
+        emit(o, e.rect);
+      }
+    } else if (e.side == 0) {
+      emit(e.rect.id, o.id);
+    } else {
+      emit(o.id, e.rect.id);
+    }
+  }
+
+  /// The ring entry of the pair of event `e` and its partner `o`.
+  static Pair RingEntry(const SweepEvent& e, const RectF& o) {
+    if constexpr (kRects) {
+      return o;
+    } else {
+      return e.side == 0 ? IdPair{e.rect.id, o.id} : IdPair{o.id, e.rect.id};
+    }
+  }
+
+  /// Emits the pairs a worker band found in strip-event `key` (strip of
+  /// global event `g`, which is `e`), if any.
+  template <typename Emit>
+  void TakeStrip(BandT* band, const SweepEvent& e, uint64_t g, uint64_t key,
+                 Emit& emit) {
     const uint64_t start = band->next_pair;
     const uint64_t r = band->next_record;
     for (;;) {
@@ -493,7 +524,7 @@ class BandedSweep {
         }
         __builtin_prefetch(
             &band->pairs[(start + kPrefetchPairs) & (band->pairs.size() - 1)]);
-        EmitPairs(band, start + rec.pairs, emit);
+        EmitPairs(band, e, start + rec.pairs, emit);
         band->next_record = r + 1;
         if (band->next_record - band->records_published >=
                 layout_.ring_records / 4 ||
@@ -512,7 +543,7 @@ class BandedSweep {
           band->pairs_written.load(std::memory_order_acquire);
       if (band->stalled.load(std::memory_order_acquire) == key + 1 &&
           written > band->next_pair) {
-        EmitPairs(band, written, emit);
+        EmitPairs(band, e, written, emit);
         PublishTaken(band);
         continue;
       }
@@ -534,11 +565,15 @@ class BandedSweep {
   }
 
   template <typename Emit>
-  void EmitPairs(BandT* band, uint64_t end, Emit& emit) {
+  void EmitPairs(BandT* band, const SweepEvent& e, uint64_t end, Emit& emit) {
     const uint64_t mask = band->pairs.size() - 1;
     for (uint64_t j = band->next_pair; j < end; ++j) {
-      const IdPair& p = band->pairs[j & mask];
-      emit(p.a, p.b);
+      const Pair& p = band->pairs[j & mask];
+      if constexpr (kRects) {
+        Report(e, p, emit);
+      } else {
+        emit(p.a, p.b);
+      }
     }
     output_ += end - band->next_pair;
     band->next_pair = end;
@@ -648,12 +683,12 @@ class BandedSweep {
         for (; s <= e.s1; s += band->stride) {
           const uint64_t key = g * strips + s;
           const uint64_t start = pairs;
-          band->ApplyStrip(e, s, [&](ObjectId x, ObjectId y) {
+          band->ApplyStrip(e, s, [&](const RectF& o) {
             // After a stop the ring is overwritten; nobody reads it.
             if (pairs == pairs_room && !pair_room()) {
               stall(g, key, pair_room);
             }
-            band->pairs[pairs & pair_mask] = IdPair{x, y};
+            band->pairs[pairs & pair_mask] = RingEntry(e, o);
             pairs++;
           });
           if (pairs == start) continue;
@@ -737,8 +772,11 @@ class BandedSweep {
 /// max_structure_bytes / max_active. Expired entries are purged at fixed
 /// sweep events in every band.
 ///
-/// Pairs are reported as emit(ObjectId from A, ObjectId from B), always
-/// on the calling thread. One band (threads <= 1, the Forward-Sweep,
+/// Pairs are reported always on the calling thread, as emit(const RectF&
+/// from A, const RectF& from B) when `emit` takes two rectangles, else as
+/// emit(ObjectId from A, ObjectId from B). The pair rings hold 8-byte id
+/// pairs for an id caller, and each pair's 20-byte partner rectangle for
+/// a rectangle caller. One band (threads <= 1, the Forward-Sweep,
 /// collapsed extents, tight buffer budgets) runs on the caller alone and
 /// emits straight through. Bands no pool worker has picked up by the
 /// first drain are run by the caller itself, so a saturated shared pool
@@ -747,16 +785,19 @@ class BandedSweep {
 template <typename SourceA, typename SourceB, typename Emit>
 BandedSweepStats BandedSweepJoin(const BandedSweepConfig& config,
                                  SourceA& a, SourceB& b, Emit&& emit) {
+  constexpr bool kRects =
+      std::is_invocable_v<Emit&, const RectF&, const RectF&>;
   const bool striped = config.kind == SweepStructureKind::kStriped;
   const StripeGeometry geometry(config.extent, striped ? config.strips : 1);
-  const BandedSweepLayout layout = PlanBandedSweep(config, geometry.strips());
+  const BandedSweepLayout layout =
+      PlanBandedSweep(config, geometry.strips(), kRects);
   if (striped) {
-    banded_internal::BandedSweep<StripedSweep> sweep(geometry, layout,
-                                                     config.pool);
+    banded_internal::BandedSweep<StripedSweep, kRects> sweep(geometry, layout,
+                                                             config.pool);
     return sweep.Run(a, b, emit);
   }
-  banded_internal::BandedSweep<ForwardSweep> sweep(geometry, layout,
-                                                   config.pool);
+  banded_internal::BandedSweep<ForwardSweep, kRects> sweep(geometry, layout,
+                                                           config.pool);
   return sweep.Run(a, b, emit);
 }
 

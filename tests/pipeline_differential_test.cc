@@ -21,8 +21,11 @@
 #include "core/spatial_join.h"
 #include "datagen/synthetic.h"
 #include "io/storage.h"
+#include "join/predicate.h"
 #include "op/operators.h"
 #include "op/row.h"
+#include "refine/feature_store.h"
+#include "rtree/rtree.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -376,6 +379,215 @@ TEST(PipelineDifferential, FullComposeAcrossConfigurations) {
     auto stats = q.Run(&sink);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(sink.rows(), expected);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Forced filter algorithms x threads x refinement x predicate: the rows of
+// every run are the contact boxes of the inputs' *original* MBRs, also
+// for ε-distance pairs, whose filter step joined ε-expanded copies of one
+// side and whose MBRs may be disjoint. The thread count changes nothing,
+// row order included.
+// ---------------------------------------------------------------------------
+
+/// Relations with exact geometry (ids are positions, as FeatureStore
+/// requires) and an R-tree over each, on one disk.
+struct IndexedTrial {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  std::vector<std::vector<RectF>> rects;
+  std::vector<std::vector<Segment>> geoms;
+  std::vector<DatasetRef> refs;
+  std::vector<std::unique_ptr<FeatureStore>> stores;
+  std::vector<std::unique_ptr<RTree>> trees;
+  std::optional<SpatialJoiner> joiner;
+
+  IndexedTrial(uint64_t seed, const std::vector<uint64_t>& sizes,
+               const RectF& region, float max_side) {
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      const std::string name = "in" + std::to_string(i);
+      rects.push_back(UniformRects(sizes[i], region, max_side, seed * 7 + i));
+      geoms.push_back(SegmentsForRects(rects.back()));
+      refs.push_back(MakeDataset(&td, rects.back(), name, &keep));
+      keep.push_back(td.NewPager(name + ".geom"));
+      auto store = FeatureStore::Build(keep.back().get(), geoms.back(), name);
+      SJ_CHECK_OK(store.status());
+      stores.push_back(std::make_unique<FeatureStore>(std::move(*store)));
+      keep.push_back(td.NewPager(name + ".tree"));
+      Pager* tree_pager = keep.back().get();
+      keep.push_back(td.NewPager(name + ".scratch"));
+      auto tree = RTree::BulkLoadHilbert(tree_pager, refs.back().range,
+                                         keep.back().get(), RTreeParams(),
+                                         size_t{1} << 22);
+      SJ_CHECK_OK(tree.status());
+      trees.push_back(std::make_unique<RTree>(std::move(*tree)));
+    }
+    joiner.emplace(&td.disk, JoinOptions());
+  }
+
+  JoinInput Input(size_t i, bool indexed) const {
+    return indexed ? JoinInput::FromRTree(trees[i].get())
+                   : JoinInput::FromStream(refs[i]);
+  }
+};
+
+/// The pairwise oracle: candidates of the MBR filter (for kDistanceWithin,
+/// `expanded_side` is the input whose MBRs the filter grows by ε), kept
+/// when refinement is off or the exact predicate holds; each row is the
+/// contact box of the two original MBRs. Sets `*disjoint` when some row's
+/// MBRs do not intersect.
+std::vector<PipeRow> PairRowsOracle(const IndexedTrial& t,
+                                    const PredicateSpec& pred, bool refine,
+                                    size_t expanded_side, bool* disjoint) {
+  const bool within = pred.kind == Predicate::kDistanceWithin;
+  std::vector<PipeRow> rows;
+  for (const RectF& ra : t.rects[0]) {
+    for (const RectF& rb : t.rects[1]) {
+      const RectF fa =
+          within && expanded_side == 0 ? ExpandRectForDistance(ra, pred.epsilon)
+                                       : ra;
+      const RectF fb =
+          within && expanded_side == 1 ? ExpandRectForDistance(rb, pred.epsilon)
+                                       : rb;
+      if (!fa.Intersects(fb)) continue;
+      if (refine &&
+          !EvaluateExactPredicate(pred, t.geoms[0][ra.id], t.geoms[1][rb.id])) {
+        continue;
+      }
+      if (!ra.Intersects(rb)) *disjoint = true;
+      PipeRow row;
+      row.rect = JoinRowAdapter::ContactBox({ra, rb});
+      row.ids = {ra.id, rb.id};
+      rows.push_back(std::move(row));
+    }
+  }
+  return SortedByIds(std::move(rows));
+}
+
+TEST(PipelineDifferential, ForcedAlgorithmRowsAreOriginalContactBoxes) {
+  IndexedTrial t(10, {400, 300}, RectF(0, 0, 100, 100), 3.0f);
+  const PredicateSpec intersects;
+  PredicateSpec within;
+  within.kind = Predicate::kDistanceWithin;
+  within.epsilon = 2.0;
+  for (const PredicateSpec& pred : {intersects, within}) {
+    for (const bool refine : {false, true}) {
+      SCOPED_TRACE(std::string(ToString(pred.kind)) +
+                   (refine ? " refined" : " filter only"));
+      // Both inputs indexed: the filter expands input 1.
+      bool disjoint = false;
+      const std::vector<PipeRow> expected =
+          PairRowsOracle(t, pred, refine, /*expanded_side=*/1, &disjoint);
+      ASSERT_FALSE(expected.empty());
+      EXPECT_EQ(disjoint, pred.kind == Predicate::kDistanceWithin);
+      for (const JoinAlgorithm algo :
+           {JoinAlgorithm::kSSSJ, JoinAlgorithm::kPBSM, JoinAlgorithm::kST,
+            JoinAlgorithm::kPQ}) {
+        std::optional<std::vector<PipeRow>> serial;
+        for (const uint32_t threads : {1u, 4u}) {
+          SCOPED_TRACE(std::string(ToString(algo)) +
+                       " threads=" + std::to_string(threads));
+          CollectingRowSink sink;
+          PipelineQuery q(*t.joiner);
+          q.Input(t.Input(0, true))
+              .Input(t.Input(1, true))
+              .WithFeatures(0, t.stores[0].get())
+              .WithFeatures(1, t.stores[1].get())
+              .Predicate(pred.kind, pred.epsilon)
+              .Algorithm(algo)
+              .Refine(refine)
+              .Threads(threads);
+          auto stats = q.Run(&sink);
+          ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+          EXPECT_EQ(stats->algorithm, algo);
+          EXPECT_EQ(SortedByIds(sink.rows()), expected);
+          EXPECT_EQ(stats->output_count, expected.size());
+          if (!serial.has_value()) {
+            serial = sink.rows();
+          } else {
+            EXPECT_EQ(sink.rows(), *serial);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The ε-expanded side is input 0 when only input 1 is indexed.
+TEST(PipelineDifferential, DistanceRowsWhenTheStreamSideIsExpanded) {
+  IndexedTrial t(12, {300, 300}, RectF(0, 0, 100, 100), 3.0f);
+  PredicateSpec within;
+  within.kind = Predicate::kDistanceWithin;
+  within.epsilon = 2.0;
+  bool disjoint = false;
+  const std::vector<PipeRow> expected =
+      PairRowsOracle(t, within, /*refine=*/false, /*expanded_side=*/0,
+                     &disjoint);
+  ASSERT_TRUE(disjoint);
+  for (const JoinAlgorithm algo : {JoinAlgorithm::kSSSJ, JoinAlgorithm::kPQ}) {
+    for (const uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(ToString(algo)) +
+                   " threads=" + std::to_string(threads));
+      CollectingRowSink sink;
+      PipelineQuery q(*t.joiner);
+      q.Input(t.Input(0, false))
+          .Input(t.Input(1, true))
+          .Predicate(within.kind, within.epsilon)
+          .Algorithm(algo)
+          .Threads(threads);
+      auto stats = q.Run(&sink);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(SortedByIds(sink.rows()), expected);
+    }
+  }
+}
+
+// A refined k-way pipeline: rows are the contact boxes (the common
+// intersection) of the member MBRs of every tuple whose members' exact
+// geometries pairwise intersect, at every thread count. (The serial chain
+// and the strip-parallel path deliver tuples in different orders.)
+TEST(PipelineDifferential, KWayRefinedRowsAcrossThreads) {
+  IndexedTrial t(13, {300, 300, 300}, RectF(0, 0, 40, 40), 3.0f);
+  std::vector<PipeRow> expected;
+  for (const RectF& ra : t.rects[0]) {
+    for (const RectF& rb : t.rects[1]) {
+      if (!ra.Intersects(rb) ||
+          !SegmentsIntersect(t.geoms[0][ra.id], t.geoms[1][rb.id])) {
+        continue;
+      }
+      for (const RectF& rc : t.rects[2]) {
+        const RectF box = JoinRowAdapter::ContactBox({ra, rb, rc});
+        const bool common = std::max({ra.xlo, rb.xlo, rc.xlo}) <=
+                                std::min({ra.xhi, rb.xhi, rc.xhi}) &&
+                            std::max({ra.ylo, rb.ylo, rc.ylo}) <=
+                                std::min({ra.yhi, rb.yhi, rc.yhi});
+        if (!common ||
+            !SegmentsIntersect(t.geoms[0][ra.id], t.geoms[2][rc.id]) ||
+            !SegmentsIntersect(t.geoms[1][rb.id], t.geoms[2][rc.id])) {
+          continue;
+        }
+        PipeRow row;
+        row.rect = box;
+        row.ids = {ra.id, rb.id, rc.id};
+        expected.push_back(std::move(row));
+      }
+    }
+  }
+  expected = SortedByIds(std::move(expected));
+  ASSERT_FALSE(expected.empty());
+
+  for (const uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CollectingRowSink sink;
+    PipelineQuery q(*t.joiner);
+    for (size_t i = 0; i < 3; ++i) {
+      q.Input(t.Input(i, false)).WithFeatures(i, t.stores[i].get());
+    }
+    q.Refine(true).Threads(threads);
+    auto stats = q.Run(&sink);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(SortedByIds(sink.rows()), expected);
+    EXPECT_EQ(stats->output_count, expected.size());
   }
 }
 

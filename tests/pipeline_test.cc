@@ -21,12 +21,14 @@
 #include "datagen/synthetic.h"
 #include "op/operators.h"
 #include "op/row.h"
+#include "rtree/rtree.h"
 #include "test_util.h"
 
 namespace sj {
 namespace {
 
 using testing_util::BruteForcePairs;
+using testing_util::ExpectSameDisk;
 using testing_util::MakeDataset;
 using testing_util::Sorted;
 using testing_util::TestDisk;
@@ -570,6 +572,166 @@ TEST(JoinPipeline, RepeatedRunsAreIdentical) {
   ASSERT_TRUE(query().Run(&second).ok());
   EXPECT_EQ(first.rows(), second.rows());
   EXPECT_FALSE(first.rows().empty());
+}
+
+// ---------------------------------------------------------------------------
+// A join source is its join: the pipeline reports the join's counters and,
+// when no operator spills, pays exactly the join's I/O.
+// ---------------------------------------------------------------------------
+
+/// Two relations with R-trees on a fresh disk. Built twice, it gives two
+/// disks in identical states, so the modeled I/O of two runs compares
+/// exactly.
+struct ContractFixture {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  std::vector<RectF> a, b;
+  DatasetRef da, db;
+  std::optional<RTree> tree_a, tree_b;
+  std::optional<SpatialJoiner> joiner;
+
+  ContractFixture() {
+    const RectF region(0, 0, 80, 80);
+    a = UniformRects(12000, region, 0.75f, 51);
+    b = UniformRects(10000, region, 1.0f, 52);
+    da = MakeDataset(&td, a, "a", &keep);
+    db = MakeDataset(&td, b, "b", &keep);
+    keep.push_back(td.NewPager("tree.scratch"));
+    Pager* scratch = keep.back().get();
+    keep.push_back(td.NewPager("tree.a"));
+    auto ta = RTree::BulkLoadHilbert(keep.back().get(), da.range, scratch,
+                                     RTreeParams(), size_t{1} << 22);
+    keep.push_back(td.NewPager("tree.b"));
+    auto tb = RTree::BulkLoadHilbert(keep.back().get(), db.range, scratch,
+                                     RTreeParams(), size_t{1} << 22);
+    SJ_CHECK_OK(ta.status());
+    SJ_CHECK_OK(tb.status());
+    tree_a.emplace(std::move(*ta));
+    tree_b.emplace(std::move(*tb));
+    joiner.emplace(&td.disk, JoinOptions());
+  }
+
+  JoinInput A(bool indexed) const {
+    return indexed ? JoinInput::FromRTree(&*tree_a) : JoinInput::FromStream(da);
+  }
+  JoinInput B(bool indexed) const {
+    return indexed ? JoinInput::FromRTree(&*tree_b) : JoinInput::FromStream(db);
+  }
+
+  Result<JoinStats> JoinAlone(bool indexed, JoinAlgorithm algo, size_t budget,
+                              uint32_t threads) {
+    CountingSink sink;
+    return JoinQuery(*joiner)
+        .Input(A(indexed))
+        .Input(B(indexed))
+        .Algorithm(algo)
+        .MemoryBytes(budget)
+        .Threads(threads)
+        .Run(&sink);
+  }
+
+  /// The same join feeding an 8x8 count grid, which never spills.
+  Result<JoinStats> Pipeline(bool indexed, JoinAlgorithm algo, size_t budget,
+                             uint32_t threads) {
+    CollectingRowSink sink;
+    return PipelineQuery(*joiner)
+        .Input(A(indexed))
+        .Input(B(indexed))
+        .Algorithm(algo)
+        .AggregateByCell(AggregateMode::kCount, 8, 8, RectF(0, 0, 80, 80))
+        .MemoryBytes(budget)
+        .Threads(threads)
+        .Run(&sink);
+  }
+};
+
+TEST(PipelineContract, ReportsItsJoinsStats) {
+  struct Case {
+    bool indexed;
+    JoinAlgorithm algo;
+    size_t budget;
+  };
+  for (const Case& c : {Case{true, JoinAlgorithm::kAuto, 8u << 20},
+                        Case{true, JoinAlgorithm::kST, 8u << 20},
+                        Case{true, JoinAlgorithm::kPQ, 8u << 20},
+                        Case{false, JoinAlgorithm::kAuto, 8u << 20},
+                        Case{false, JoinAlgorithm::kSSSJ, 8u << 20},
+                        Case{false, JoinAlgorithm::kPBSM, 8u << 20}}) {
+    const std::string what = std::string(c.indexed ? "trees " : "streams ") +
+                             ToString(c.algo) + " budget=" +
+                             std::to_string(c.budget >> 10) + "KiB";
+    ContractFixture f;
+    auto alone = f.JoinAlone(c.indexed, c.algo, c.budget, 2);
+    auto piped = f.Pipeline(c.indexed, c.algo, c.budget, 2);
+    ASSERT_TRUE(alone.ok()) << what << ": " << alone.status().ToString();
+    ASSERT_TRUE(piped.ok()) << what << ": " << piped.status().ToString();
+    EXPECT_EQ(piped->algorithm, alone->algorithm) << what;
+    EXPECT_EQ(piped->candidate_count, alone->output_count) << what;
+    EXPECT_EQ(piped->max_sweep_bytes, alone->max_sweep_bytes) << what;
+    EXPECT_EQ(piped->sweep_bands, alone->sweep_bands) << what;
+    EXPECT_EQ(piped->sweep_strips_collapsed, alone->sweep_strips_collapsed)
+        << what;
+    EXPECT_EQ(piped->max_queue_bytes, alone->max_queue_bytes) << what;
+    EXPECT_EQ(piped->index_pages_read, alone->index_pages_read) << what;
+    EXPECT_EQ(piped->pool_requests, alone->pool_requests) << what;
+    EXPECT_EQ(piped->pool_hits, alone->pool_hits) << what;
+    EXPECT_EQ(piped->sort_merge_fan_in, alone->sort_merge_fan_in) << what;
+    EXPECT_EQ(piped->sort_merge_passes, alone->sort_merge_passes) << what;
+    EXPECT_EQ(piped->partitions_total, alone->partitions_total) << what;
+    EXPECT_EQ(piped->partitions_overflowed, alone->partitions_overflowed)
+        << what;
+    EXPECT_EQ(piped->max_partition_bytes, alone->max_partition_bytes) << what;
+    EXPECT_EQ(piped->pbsm_tiles_x, alone->pbsm_tiles_x) << what;
+    EXPECT_EQ(piped->pbsm_tiles_y, alone->pbsm_tiles_y) << what;
+    EXPECT_EQ(piped->pbsm_leaf_tiles, alone->pbsm_leaf_tiles) << what;
+    EXPECT_EQ(piped->pbsm_split_tiles, alone->pbsm_split_tiles) << what;
+    EXPECT_EQ(piped->pbsm_adaptive, alone->pbsm_adaptive) << what;
+  }
+  // Under a tight budget the sorts merge, and the pipeline reports the
+  // join's sort counters. (Its sweep may run fewer bands there: rings of
+  // rectangles take more of the sweep's grant than rings of ids.)
+  ContractFixture f;
+  auto alone = f.JoinAlone(false, JoinAlgorithm::kSSSJ, 256u << 10, 2);
+  auto streams = f.Pipeline(false, JoinAlgorithm::kSSSJ, 256u << 10, 2);
+  ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+  ASSERT_TRUE(streams.ok()) << streams.status().ToString();
+  EXPECT_GT(streams->sort_merge_fan_in, 0u);
+  EXPECT_EQ(streams->sort_merge_fan_in, alone->sort_merge_fan_in);
+  EXPECT_EQ(streams->sort_merge_passes, alone->sort_merge_passes);
+  EXPECT_EQ(streams->max_sweep_bytes, alone->max_sweep_bytes);
+  EXPECT_GT(streams->max_sweep_bytes, 0u);
+  EXPECT_GT(streams->sweep_bands, 0u);
+  // The stats a bare tree join shows are really there.
+  auto trees = f.Pipeline(true, JoinAlgorithm::kST, 8u << 20, 2);
+  ASSERT_TRUE(trees.ok()) << trees.status().ToString();
+  EXPECT_GT(trees->index_pages_read, 0u);
+  EXPECT_GT(trees->pool_requests, 0u);
+}
+
+// With no window and a grid that never spills, a pipeline reads and
+// writes exactly the pages of its join run alone, request for request, at
+// a budget far below the inputs and at an ample one.
+TEST(PipelineContract, ModeledIoEqualsTheJoinAlone) {
+  for (const size_t budget : {size_t{256} << 10, size_t{8} << 20}) {
+    for (const bool indexed : {true, false}) {
+      const std::string what = std::string(indexed ? "trees" : "streams") +
+                               " budget=" + std::to_string(budget >> 10) +
+                               "KiB";
+      ContractFixture alone_fixture;
+      ContractFixture pipeline_fixture;
+      auto alone =
+          alone_fixture.JoinAlone(indexed, JoinAlgorithm::kAuto, budget, 1);
+      auto piped =
+          pipeline_fixture.Pipeline(indexed, JoinAlgorithm::kAuto, budget, 1);
+      ASSERT_TRUE(alone.ok()) << what << ": " << alone.status().ToString();
+      ASSERT_TRUE(piped.ok()) << what << ": " << piped.status().ToString();
+      EXPECT_EQ(piped->algorithm, alone->algorithm) << what;
+      ExpectSameDisk(piped->disk, alone->disk, what);
+      const OperatorStats* aggregate = FindOp(*piped, "AggregateByCell");
+      ASSERT_NE(aggregate, nullptr) << what;
+      EXPECT_EQ(aggregate->spill_pages, 0u) << what;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/memory_arbiter.h"
 #include "datagen/synthetic.h"
@@ -245,6 +247,53 @@ TEST(SSSJParallel, BandedSweepJoinMatchesSweepJoinWithKind) {
         // and stall the bands on this pair-dense data.
         const bool banded = kind == SweepStructureKind::kStriped &&
                             threads > 1 && buffer >= (size_t{256} << 10);
+        EXPECT_EQ(stats.bands > 1, banded) << what;
+      }
+    }
+  }
+}
+
+// A caller that takes rectangles gets SweepJoinWithKind's pairs with both
+// MBRs, in the same order, through the bands' rings of partner
+// rectangles, the smallest ones included.
+TEST(SSSJParallel, BandedSweepJoinHandsOverRectangles) {
+  TigerGenerator gen(17);
+  std::vector<RectF> a, b;
+  gen.GenerateRoads(20000, &a);
+  gen.GenerateHydro(8000, &b);
+  std::sort(a.begin(), a.end(), OrderByYLo());
+  std::sort(b.begin(), b.end(), OrderByYLo());
+  using RectPair = std::pair<RectF, RectF>;
+  for (const SweepStructureKind kind :
+       {SweepStructureKind::kStriped, SweepStructureKind::kForward}) {
+    std::vector<RectPair> want;
+    VectorRectSource sa(&a), sb(&b);
+    SweepJoinWithKind(
+        kind, gen.region(), 1024, sa, sb,
+        [&](const RectF& x, const RectF& y) { want.emplace_back(x, y); });
+    ASSERT_FALSE(want.empty());
+    for (const uint32_t threads : {1u, 2u, 4u}) {
+      for (const size_t buffer : {size_t{0}, size_t{512} << 10,
+                                  size_t{4} << 20}) {
+        BandedSweepConfig config;
+        config.kind = kind;
+        config.extent = gen.region();
+        config.threads = threads;
+        config.buffer_bytes = buffer;
+        std::vector<RectPair> got;
+        VectorRectSource ga(&a), gb(&b);
+        const BandedSweepStats stats = BandedSweepJoin(
+            config, ga, gb,
+            [&](const RectF& x, const RectF& y) { got.emplace_back(x, y); });
+        const std::string what = std::string(ToString(kind)) + " threads=" +
+                                 std::to_string(threads) + " buffer=" +
+                                 std::to_string(buffer);
+        EXPECT_TRUE(got == want) << what;
+        EXPECT_EQ(stats.output_count, want.size()) << what;
+        // 512 KiB holds up to four bands with the smallest rings of
+        // 20-byte rectangles.
+        const bool banded = kind == SweepStructureKind::kStriped &&
+                            threads > 1 && buffer >= (size_t{512} << 10);
         EXPECT_EQ(stats.bands > 1, banded) << what;
       }
     }
